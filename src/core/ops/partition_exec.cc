@@ -32,26 +32,93 @@ size_t LogicalRowBytes(const ColumnSet& set) {
   return bytes;
 }
 
+// One work unit of a round: rows [begin, end) of input bucket
+// `bucket`. Units of one bucket are contiguous and in range order.
+struct RangeUnit {
+  size_t bucket;
+  size_t begin;
+  size_t end;
+};
+
+// The output of one round, laid out before any row moves: the
+// in_buckets * fanout new buckets (bucket b's partition p at
+// b * fanout + p) allocated at their exact final sizes, their carried
+// hash columns (empty when not carried), and per unit u and partition
+// p the row offset `cursors[u * fanout + p]` in new bucket
+// unit.bucket * fanout + p where the unit's rows start.
+struct RoundLayout {
+  std::vector<ColumnSet> buckets;
+  std::vector<std::vector<uint32_t>> hashes;
+  std::vector<size_t> cursors;
+};
+
+// Count -> exclusive prefix sum -> allocate. A host pass counts each
+// unit's rows per partition over the carried hashes; the prefix sum
+// runs in (input bucket, partition, unit) order, so every partition
+// receives its rows in (range order, tile order) — the order of the
+// input bucket itself. This is uncharged host bookkeeping: the DPU
+// learns the same counts from its own tile histograms.
+RoundLayout LayoutRound(const std::vector<RangeUnit>& units,
+                        const std::vector<std::vector<uint32_t>>& hashes,
+                        const std::vector<ColumnMeta>& metas, int fanout,
+                        int shift, bool carry_hashes) {
+  const auto ufanout = static_cast<size_t>(fanout);
+  const uint32_t mask = static_cast<uint32_t>(fanout) - 1;
+  RoundLayout layout;
+  layout.cursors.assign(units.size() * ufanout, 0);
+  std::vector<size_t> sizes(hashes.size() * ufanout, 0);
+  for (size_t u = 0; u < units.size(); ++u) {
+    const RangeUnit& unit = units[u];
+    size_t* cursor = layout.cursors.data() + u * ufanout;
+    const uint32_t* h = hashes[unit.bucket].data();
+    for (size_t i = unit.begin; i < unit.end; ++i) {
+      ++cursor[(h[i] >> shift) & mask];
+    }
+    // Exclusive prefix sum: this unit's slice starts where the earlier
+    // units of the same bucket end.
+    size_t* size = sizes.data() + unit.bucket * ufanout;
+    for (size_t p = 0; p < ufanout; ++p) {
+      const size_t rows = cursor[p];
+      cursor[p] = size[p];
+      size[p] += rows;
+    }
+  }
+  layout.buckets.reserve(sizes.size());
+  if (carry_hashes) layout.hashes.resize(sizes.size());
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    ColumnSet& bucket = layout.buckets.emplace_back(metas);
+    for (size_t c = 0; c < bucket.num_columns(); ++c) {
+      bucket.column(c).resize(sizes[i]);
+    }
+    if (carry_hashes) layout.hashes[i].resize(sizes[i]);
+  }
+  return layout;
+}
+
 // Splits rows [begin, end) of `bucket` `fanout` ways using hash bits
-// [shift, shift+log2(fanout)). Runs on one core. The DMS charge covers
-// the full stream through the partition engine (staging, CRC/CID
-// resolution and the scatter back to DRAM in one pass, cf. Figure 8).
+// [shift, shift+log2(fanout)) straight into the round's pre-sized new
+// buckets `parts[0, fanout)`: partition p's rows go to
+// parts[p][cursor[p]...], and cursor[p] advances by the tile's count.
+// `part_hashes` (null when not carried) receives the rows' hashes the
+// same way. Runs on one core; the unit's slices are disjoint from
+// every other unit's, so nothing is resized or shared while cores run.
+// The DMS charge covers the full stream through the partition engine
+// (staging, CRC/CID resolution and the scatter back to DRAM in one
+// pass, cf. Figure 8).
 //
 // The software stage scatters each column directly to its partition
 // via the per-partition write-combining kernel (streaming stores on
 // AVX2); all tile scratch comes from the core's buffer pool, so a
-// warm core touches the heap only to grow the partition vectors
-// themselves.
+// warm core never touches the heap.
 Status SplitRange(dpu::DpCore& core, const dpu::CostParams& params,
                   const ColumnSet& bucket, const std::vector<uint32_t>& hashes,
                   size_t begin, size_t end, int fanout, int hw_fanout,
                   int shift, size_t tile_rows, const CancelToken* cancel,
-                  std::vector<ColumnSet>* out) {
+                  ColumnSet* parts, std::vector<uint32_t>* part_hashes,
+                  size_t* cursor) {
   const size_t num_cols = bucket.num_columns();
   const int sw_fanout = fanout / hw_fanout;
   const size_t row_bytes = LogicalRowBytes(bucket);
-
-  out->assign(static_cast<size_t>(fanout), ColumnSet(bucket.metas()));
 
   const primitives::simd::PartitionKernelTable& kernels =
       primitives::simd::partition_kernels();
@@ -79,21 +146,27 @@ Status SplitRange(dpu::DpCore& core, const dpu::CostParams& params,
     primitives::ComputePartitionIndex(hashes.data() + start, rows, fanout,
                                       shift, pof.as<uint16_t>(),
                                       counts.as<uint32_t>());
-    // Scatter every projection column into the per-partition buffers
-    // through software write-combining lines; within each partition
-    // rows land in tile order, exactly as the former gather +
-    // sequential-emit path appended them.
+    const uint16_t* partition_of = pof.as<uint16_t>();
+    // Scatter every projection column into its partitions through
+    // software write-combining lines; within each partition rows land
+    // in tile order at the unit's cursor.
     for (size_t c = 0; c < num_cols; ++c) {
       const int64_t* in = bucket.column(c).data() + start;
       int64_t** dst = bases.as<int64_t*>();
       for (size_t p = 0; p < ufanout; ++p) {
-        auto& vec = (*out)[p].column(c);
-        const size_t old = vec.size();
-        vec.resize(old + counts.as<uint32_t>()[p]);
-        dst[p] = vec.data() + old;
+        dst[p] = parts[p].column(c).data() + cursor[p];
       }
-      kernels.scatter_col(in, pof.as<uint16_t>(), rows, ufanout, dst,
-                          wc.data());
+      kernels.scatter_col(in, partition_of, rows, ufanout, dst, wc.data());
+    }
+    if (part_hashes != nullptr) {
+      const uint32_t* h = hashes.data() + start;
+      for (size_t i = 0; i < rows; ++i) {
+        const size_t p = partition_of[i];
+        part_hashes[p][cursor[p]++] = h[i];
+      }
+    } else {
+      const uint32_t* tile_counts = counts.as<uint32_t>();
+      for (size_t p = 0; p < ufanout; ++p) cursor[p] += tile_counts[p];
     }
 
     // Cycle charges. One partition-engine pass moves the tile's data
@@ -167,11 +240,12 @@ Result<PartitionedData> PartitionExec::Execute(
   }
 
   // Current buckets plus their hash columns (hashes are computed once
-  // by the DMS hash engine and reused across rounds). A compatible
-  // checkpoint replaces the leading rounds — including the hash pass —
-  // with the buckets it already holds; resumed rounds are
-  // deterministic functions of those buckets, so the final partitions
-  // are bit-identical to a from-scratch run.
+  // by the DMS hash engine and reused across rounds). Round 0 reads
+  // `input` in place: `buckets` stays empty until a round completes.
+  // A compatible checkpoint replaces the leading rounds — including
+  // the hash pass — with the buckets it already holds; resumed rounds
+  // are deterministic functions of those buckets, so the final
+  // partitions are bit-identical to a from-scratch run.
   std::vector<ColumnSet> buckets;
   std::vector<std::vector<uint32_t>> bucket_hashes;
   int shift = 0;
@@ -185,45 +259,48 @@ Result<PartitionedData> PartitionExec::Execute(
     progress->clear();
   } else {
     if (progress != nullptr) progress->clear();
-    buckets.push_back(ColumnSet(input.metas()));
-    buckets[0].Append(input);
     bucket_hashes.push_back(HashColumn(input, key_cols));
   }
+  auto bucket_at = [&](size_t b) -> const ColumnSet& {
+    return buckets.empty() ? input : buckets[b];
+  };
 
   const auto num_cores = static_cast<size_t>(dpu.num_cores());
   for (size_t ri = start_round; ri < scheme.rounds.size(); ++ri) {
     const PartitionRound& round = scheme.rounds[ri];
     const int bits = Log2Of(round.fanout);
-    const size_t in_buckets = buckets.size();
+    const auto ufanout = static_cast<size_t>(round.fanout);
+    const size_t in_buckets = bucket_hashes.size();
 
     // Work units: each bucket is split into ranges so that every core
     // has work even when few buckets exist (the DMS streams ranges to
     // different cores).
-    struct WorkUnit {
-      size_t bucket;
-      size_t begin;
-      size_t end;
-      std::vector<ColumnSet> out;
-    };
-    std::vector<WorkUnit> units;
+    std::vector<RangeUnit> units;
     size_t total_rows = 0;
-    for (const ColumnSet& b : buckets) total_rows += b.num_rows();
-    // ~4 units per core so the morsel queue can rebalance; the
-    // reassembly below concatenates range outputs in range order, so
-    // the result bytes are independent of the unit boundaries.
+    for (const std::vector<uint32_t>& h : bucket_hashes) {
+      total_rows += h.size();
+    }
+    // ~4 units per core so the morsel queue can rebalance; the layout
+    // places range outputs in range order, so the result bytes are
+    // independent of the unit boundaries.
     const size_t target_rows = std::max<size_t>(
         64, (total_rows + 4 * num_cores - 1) / (4 * num_cores));
     for (size_t b = 0; b < in_buckets; ++b) {
-      const size_t rows = buckets[b].num_rows();
+      const size_t rows = bucket_hashes[b].size();
       if (rows == 0) {
-        units.push_back(WorkUnit{b, 0, 0, {}});
+        units.push_back(RangeUnit{b, 0, 0});
         continue;
       }
       for (size_t begin = 0; begin < rows; begin += target_rows) {
         units.push_back(
-            WorkUnit{b, begin, std::min(rows, begin + target_rows), {}});
+            RangeUnit{b, begin, std::min(rows, begin + target_rows)});
       }
     }
+    // Only a later round (or its checkpoint) reads the carried hashes.
+    const bool carry_hashes = ri + 1 < scheme.rounds.size();
+    RoundLayout layout =
+        LayoutRound(units, bucket_hashes, bucket_at(0).metas(), round.fanout,
+                    shift, carry_hashes);
 
     // Morsel-driven assignment: each work unit is one morsel, weighted
     // by its row count; idle cores pull or steal the remainder instead
@@ -235,7 +312,7 @@ Result<PartitionedData> PartitionExec::Execute(
     dpu::WorkQueue queue(std::move(unit_weights), dpu.num_cores());
     const Status round_status = dpu.ParallelForMorsels(
         queue, cancel, [&](dpu::DpCore& core, size_t u) -> Status {
-          WorkUnit& unit = units[u];
+          const RangeUnit& unit = units[u];
           TraceSpan span(TraceMode::kFull, core.id(), "partition.unit",
                          &dpu::TraceClockNow, &core.cycles());
           span.Annotate("round", static_cast<int64_t>(ri));
@@ -244,16 +321,20 @@ Result<PartitionedData> PartitionExec::Execute(
           // chain; transient faults are retried inside RunDescriptor.
           RAPID_RETURN_NOT_OK(
               dpu.dms().RunDescriptor(&core.cycles(), faults::kDmsPartition));
-          return SplitRange(core, dpu.params(), buckets[unit.bucket],
-                            bucket_hashes[unit.bucket], unit.begin, unit.end,
-                            round.fanout, round.hw_fanout, shift, tile_rows,
-                            cancel, &unit.out);
+          const size_t first = unit.bucket * ufanout;
+          return SplitRange(
+              core, dpu.params(), bucket_at(unit.bucket),
+              bucket_hashes[unit.bucket], unit.begin, unit.end, round.fanout,
+              round.hw_fanout, shift, tile_rows, cancel,
+              layout.buckets.data() + first,
+              carry_hashes ? layout.hashes.data() + first : nullptr,
+              layout.cursors.data() + u * ufanout);
         });
     if (!round_status.ok()) {
       // `buckets` still holds the previous completed round's output
-      // (reassembly only happens below, after the parallel loop), so
-      // checkpointing it costs nothing on the fault-free path. A
-      // cancelled query saves nothing — it is being abandoned.
+      // (the new round only replaces it below, after the parallel
+      // loop), so checkpointing it costs nothing on the fault-free
+      // path. A cancelled query saves nothing — it is being abandoned.
       if (progress != nullptr && ri > 0 && !round_status.IsCancellation()) {
         progress->rounds_done = static_cast<int>(ri);
         progress->bits_used = shift;
@@ -269,36 +350,8 @@ Result<PartitionedData> PartitionExec::Execute(
            TraceCollector::Arg::I("fanout", round.fanout),
            TraceCollector::Arg::U("rows", total_rows)});
     }
-
-    // Reassemble buckets in (bucket, partition) order, merging the
-    // range splits in range order for determinism; carry hash columns
-    // forward by re-splitting the parents'.
-    std::vector<ColumnSet> new_buckets;
-    std::vector<std::vector<uint32_t>> new_hashes;
-    new_buckets.reserve(in_buckets * static_cast<size_t>(round.fanout));
-    for (size_t b = 0; b < in_buckets; ++b) {
-      std::vector<ColumnSet> merged(static_cast<size_t>(round.fanout),
-                                    ColumnSet(buckets[b].metas()));
-      for (const WorkUnit& unit : units) {
-        if (unit.bucket != b || unit.out.empty()) continue;
-        for (int p = 0; p < round.fanout; ++p) {
-          merged[static_cast<size_t>(p)].Append(
-              unit.out[static_cast<size_t>(p)]);
-        }
-      }
-      const std::vector<uint32_t>& parent = bucket_hashes[b];
-      std::vector<std::vector<uint32_t>> h(static_cast<size_t>(round.fanout));
-      const uint32_t mask = static_cast<uint32_t>(round.fanout) - 1;
-      for (uint32_t hash : parent) {
-        h[(hash >> shift) & mask].push_back(hash);
-      }
-      for (int p = 0; p < round.fanout; ++p) {
-        new_buckets.push_back(std::move(merged[static_cast<size_t>(p)]));
-        new_hashes.push_back(std::move(h[static_cast<size_t>(p)]));
-      }
-    }
-    buckets = std::move(new_buckets);
-    bucket_hashes = std::move(new_hashes);
+    buckets = std::move(layout.buckets);
+    bucket_hashes = std::move(layout.hashes);
     shift += bits;
   }
 
@@ -316,16 +369,21 @@ Result<std::vector<ColumnSet>> PartitionExec::Repartition(
   if (extra_fanout < 2 || (extra_fanout & (extra_fanout - 1)) != 0) {
     return Status::InvalidArgument("repartition fan-out must be power of 2");
   }
-  std::vector<uint32_t> hashes = HashColumn(input, key_cols);
-  std::vector<ColumnSet> out;
+  std::vector<std::vector<uint32_t>> hashes;
+  hashes.push_back(HashColumn(input, key_cols));
+  const std::vector<RangeUnit> units = {RangeUnit{0, 0, input.num_rows()}};
+  RoundLayout layout = LayoutRound(units, hashes, input.metas(), extra_fanout,
+                                   bits_used, /*carry_hashes=*/false);
   // Runs on the detecting core: large-skew repartitioning is
   // introduced dynamically for a single oversized partition. No cancel
   // token — the caller owns cancellation at its own tile boundaries.
-  RAPID_RETURN_NOT_OK(SplitRange(core, params, input, hashes, 0,
+  RAPID_RETURN_NOT_OK(SplitRange(core, params, input, hashes[0], 0,
                                  input.num_rows(), extra_fanout,
                                  /*hw_fanout=*/1, bits_used, tile_rows,
-                                 /*cancel=*/nullptr, &out));
-  return out;
+                                 /*cancel=*/nullptr, layout.buckets.data(),
+                                 /*part_hashes=*/nullptr,
+                                 layout.cursors.data()));
+  return std::move(layout.buckets);
 }
 
 }  // namespace rapid::core

@@ -55,7 +55,7 @@ struct PartitionedData {
 };
 
 // Completed-round checkpoint of a multi-round partition pass. When a
-// later round fails, Execute() moves the last fully reassembled
+// later round fails, Execute() moves the last fully completed
 // round's buckets (and their carried hash columns) here; a retry with
 // the same scheme resumes at round `rounds_done` instead of
 // re-partitioning from scratch. Cancellation never populates this —

@@ -60,7 +60,7 @@ struct WorkloadCounters {
 //    per-morsel done bitmap — the high-water mark — and skips
 //    completed morsels on the next attempt.
 // Both resumes are bit-identical to from-scratch runs because morsel
-// decomposition and round reassembly are deterministic.
+// decomposition and round layout are deterministic.
 struct StepProgress {
   PartitionProgress partition;
   std::vector<ColumnSet> per_morsel;

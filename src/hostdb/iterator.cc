@@ -86,6 +86,11 @@ Result<bool> EvalPredicateRow(const core::Predicate& pred, const Row& row,
       RAPID_ASSIGN_OR_RETURN(size_t idx2, Find(schema, pred.column2));
       return cmp(pred.op, v, row[idx2]);
     }
+    case Kind::kBloom:
+      // Join-filter pushdown is a RAPID plan rewrite; Volcano plans
+      // never carry Bloom predicates.
+      return Status::InvalidArgument(
+          "Bloom predicates are RAPID-only and cannot run on Volcano");
   }
   return Status::Internal("unreachable predicate kind");
 }

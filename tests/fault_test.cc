@@ -51,6 +51,7 @@ using hostdb::QueryReport;
 using primitives::CmpOp;
 using rapid::testing::ExpectSameRows;
 using rapid::testing::MakeColumnSet;
+using rapid::testing::Rows;
 using rapid::testing::SortedRows;
 
 // ---- FaultInjector unit behavior -------------------------------------------
@@ -535,7 +536,7 @@ TEST(PartitionFaultTest, RoundFailureResumesFromCompletedRounds) {
   // Rounds are barriers, so poll `polls` (the last first-attempt
   // descriptor) always lands in round 2. Failing it and everything
   // after exhausts the DMS retry budget and kills the pass with round
-  // 1 fully reassembled.
+  // 1 fully completed.
   ScopedFaultInjection fi(52);
   FaultInjector::SiteSpec spec;
   spec.skip_first = polls - 1;  // unlimited failures from there on
@@ -549,6 +550,15 @@ TEST(PartitionFaultTest, RoundFailureResumesFromCompletedRounds) {
       << failed.status().ToString();
   ASSERT_EQ(progress.rounds_done, 1);
   EXPECT_TRUE(progress.CompatibleWith(scheme));
+  // The checkpoint carries each bucket's own hash column: round 2
+  // routes rows by it, so a stale or misaligned column would misplace
+  // rows on resume.
+  ASSERT_EQ(progress.bucket_hashes.size(), progress.buckets.size());
+  for (size_t b = 0; b < progress.buckets.size(); ++b) {
+    EXPECT_EQ(progress.bucket_hashes[b],
+              PartitionExec::HashColumn(progress.buckets[b], {0}))
+        << "bucket " << b;
+  }
 
   // Retry with the checkpoint: round 1 is skipped, round 2 re-runs,
   // and the output is bit-identical to the fault-free pass.
@@ -562,8 +572,7 @@ TEST(PartitionFaultTest, RoundFailureResumesFromCompletedRounds) {
   EXPECT_EQ(resumed.bits_used, clean.bits_used);
   ASSERT_EQ(resumed.partitions.size(), clean.partitions.size());
   for (size_t p = 0; p < clean.partitions.size(); ++p) {
-    EXPECT_EQ(SortedRows(resumed.partitions[p]),
-              SortedRows(clean.partitions[p]))
+    EXPECT_EQ(Rows(resumed.partitions[p]), Rows(clean.partitions[p]))
         << "partition " << p;
   }
 }

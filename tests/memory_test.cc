@@ -5,6 +5,7 @@
 // path with pooled operators, and host-fallback reuse of completed
 // DPU subtree results.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -208,8 +209,10 @@ TEST(ScatterKernelTest, BitIdenticalToReferenceAcrossLevelsAndFanouts) {
         primitives::simd::partition_kernels().scatter_col(
             input.data(), pof.data(), n, fanout, dst.data(), wc);
         for (size_t p = 0; p < fanout; ++p) {
-          ASSERT_EQ(0, std::memcmp(dst[p], expected[p].data(),
-                                   expected[p].size() * sizeof(int64_t)))
+          // std::equal, not memcmp: an empty partition's expected
+          // data() is null, which memcmp must never be passed.
+          ASSERT_TRUE(std::equal(expected[p].begin(), expected[p].end(),
+                                 dst[p]))
               << "level " << l << " fanout " << fanout << " n " << n
               << " partition " << p;
           // Guard rows before the start must be untouched.

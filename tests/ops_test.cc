@@ -5,9 +5,13 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "common/rng.h"
 #include "core/ops/filter_op.h"
 #include "core/ops/groupby_op.h"
@@ -384,6 +388,200 @@ TEST_F(OpsTest, RepartitionSplitsWithHigherBits) {
     for (uint32_t h : hashes) EXPECT_EQ((h >> 5) & 3u, p);
   }
 }
+
+// ---- Stable partition order -----------------------------------------------
+//
+// Partitioning is stable: each output partition holds exactly the input
+// rows whose hash bits select it, in input order, whatever the round
+// structure, core count, scheduling or tile boundaries. The comparisons
+// below are row for row, not sorted, so an ordering slip in the scatter
+// or in the per-unit slice offsets shows up.
+
+// Final partition index of each input row after rounds [0, rounds) of
+// `scheme`, starting at hash bit `shift`: each round appends its
+// partition number below the earlier rounds', matching the (bucket,
+// partition) order of the output.
+std::vector<size_t> ReferencePartitionOf(const std::vector<uint32_t>& hashes,
+                                         const PartitionScheme& scheme,
+                                         size_t rounds, int shift) {
+  std::vector<size_t> out(hashes.size(), 0);
+  for (size_t r = 0; r < rounds; ++r) {
+    const auto fanout = static_cast<uint32_t>(scheme.rounds[r].fanout);
+    for (size_t i = 0; i < hashes.size(); ++i) {
+      out[i] = out[i] * fanout + ((hashes[i] >> shift) & (fanout - 1));
+    }
+    shift += __builtin_ctz(fanout);
+  }
+  return out;
+}
+
+// The input rows of each of `num_parts` partitions, in input order.
+std::vector<std::vector<std::vector<int64_t>>> ReferencePartitions(
+    const ColumnSet& input, const std::vector<size_t>& partition_of,
+    size_t num_parts) {
+  std::vector<std::vector<std::vector<int64_t>>> parts(num_parts);
+  const std::vector<std::vector<int64_t>> rows = Rows(input);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    parts[partition_of[i]].push_back(rows[i]);
+  }
+  return parts;
+}
+
+struct StableCase {
+  const char* name;
+  std::vector<PartitionRound> rounds;
+};
+
+std::vector<StableCase> StableCases() {
+  return {
+      {"sw2", {{2, 1}}},
+      {"hw32", {{32, 32}}},
+      {"hw32sw2", {{64, 32}}},
+      {"sw256", {{256, 1}}},
+      {"hw32sw32", {{1024, 32}}},
+      {"sw1024", {{1024, 1}}},
+      {"hw8_sw8", {{8, 8}, {8, 1}}},
+      {"hw32_sw32", {{32, 32}, {32, 1}}},
+      {"hw4_sw2_sw4", {{4, 4}, {2, 1}, {4, 1}}},
+  };
+}
+
+// Inputs: random keys, a tiny input that leaves most buckets of a
+// second round empty, one hot key (every other bucket empty), and no
+// rows at all. Column 1 is the input position, so order slips are
+// visible in the values too.
+std::vector<std::pair<const char*, ColumnSet>> StableInputs() {
+  std::vector<std::pair<const char*, ColumnSet>> inputs;
+  inputs.emplace_back("random", RandomKv(3000, 31, 700));
+  inputs.emplace_back("tiny", RandomKv(20, 32, 1000));
+  inputs.emplace_back("hot", RandomKv(500, 33, 1));
+  inputs.emplace_back("empty", RandomKv(0, 34, 10));
+  return inputs;
+}
+
+class StablePartitionTest
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {
+ protected:
+  StablePartitionTest() : dpu_(Config()) {
+    dpu_.SetInlineExecution(std::get<1>(GetParam()));
+  }
+
+  static dpu::DpuConfig Config() {
+    dpu::DpuConfig config{};
+    config.num_cores = std::get<0>(GetParam());
+    return config;
+  }
+
+  dpu::Dpu dpu_;
+};
+
+TEST_P(StablePartitionTest, PartitionsKeepInputOrder) {
+  for (const auto& [input_name, input] : StableInputs()) {
+    const std::vector<uint32_t> hashes =
+        PartitionExec::HashColumn(input, {0});
+    for (const StableCase& c : StableCases()) {
+      PartitionScheme scheme;
+      scheme.rounds = c.rounds;
+      const size_t num_parts = static_cast<size_t>(scheme.TotalFanout());
+      const auto expected = ReferencePartitions(
+          input, ReferencePartitionOf(hashes, scheme, scheme.NumRounds(), 0),
+          num_parts);
+      for (size_t tile_rows : {64u, 256u}) {
+        SCOPED_TRACE(std::string(input_name) + " " + c.name + " tile " +
+                     std::to_string(tile_rows));
+        ASSERT_OK_AND_ASSIGN(
+            PartitionedData parts,
+            PartitionExec::Execute(dpu_, input, {0}, scheme, tile_rows));
+        ASSERT_EQ(parts.partitions.size(), num_parts);
+        for (size_t p = 0; p < num_parts; ++p) {
+          ASSERT_EQ(Rows(parts.partitions[p]), expected[p])
+              << "partition " << p;
+        }
+      }
+    }
+  }
+}
+
+// The hash columns carried between rounds are only observable through
+// the completed-round checkpoint: fail every descriptor of the last
+// round, then check the checkpointed buckets and their hashes.
+TEST_P(StablePartitionTest, CarriedHashesMatchCheckpointedBuckets) {
+  for (const auto& [input_name, input] : StableInputs()) {
+    const std::vector<uint32_t> hashes =
+        PartitionExec::HashColumn(input, {0});
+    for (const StableCase& c : StableCases()) {
+      if (c.rounds.size() < 2) continue;
+      SCOPED_TRACE(std::string(input_name) + " " + c.name);
+      PartitionScheme scheme;
+      scheme.rounds = c.rounds;
+      uint64_t polls = 0;
+      {
+        ScopedFaultInjection count(1);
+        FaultInjector::SiteSpec probe;
+        probe.probability = 0.0;
+        count.Arm(faults::kDmsPartition, probe);
+        ASSERT_OK(
+            PartitionExec::Execute(dpu_, input, {0}, scheme, 64).status());
+        polls = FaultInjector::Instance().hits(faults::kDmsPartition);
+      }
+      ScopedFaultInjection fi(2);
+      FaultInjector::SiteSpec spec;
+      spec.skip_first = polls - 1;
+      fi.Arm(faults::kDmsPartition, spec);
+      PartitionProgress progress;
+      ASSERT_FALSE(PartitionExec::Execute(dpu_, input, {0}, scheme, 64,
+                                          nullptr, &progress)
+                       .ok());
+      const size_t done = scheme.NumRounds() - 1;
+      ASSERT_EQ(progress.rounds_done, static_cast<int>(done));
+      ASSERT_TRUE(progress.CompatibleWith(scheme));
+      const size_t num_buckets = progress.buckets.size();
+      const auto expected = ReferencePartitions(
+          input, ReferencePartitionOf(hashes, scheme, done, 0), num_buckets);
+      for (size_t b = 0; b < num_buckets; ++b) {
+        ASSERT_EQ(Rows(progress.buckets[b]), expected[b]) << "bucket " << b;
+        ASSERT_EQ(progress.bucket_hashes[b],
+                  PartitionExec::HashColumn(progress.buckets[b], {0}))
+            << "bucket " << b;
+      }
+    }
+  }
+}
+
+TEST_P(StablePartitionTest, RepartitionKeepsInputOrder) {
+  for (const auto& [input_name, input] : StableInputs()) {
+    const std::vector<uint32_t> hashes =
+        PartitionExec::HashColumn(input, {0});
+    for (int fanout : {2, 8, 64, 1024}) {
+      for (int bits_used : {0, 5, 12}) {
+        SCOPED_TRACE(std::string(input_name) + " fanout " +
+                     std::to_string(fanout) + " bits " +
+                     std::to_string(bits_used));
+        PartitionScheme one;
+        one.rounds.push_back(PartitionRound{fanout, 1});
+        const auto expected = ReferencePartitions(
+            input, ReferencePartitionOf(hashes, one, 1, bits_used),
+            static_cast<size_t>(fanout));
+        ASSERT_OK_AND_ASSIGN(
+            std::vector<ColumnSet> sub,
+            PartitionExec::Repartition(dpu_.core(0), dpu_.params(), input,
+                                       {0}, fanout, bits_used, 64));
+        ASSERT_EQ(sub.size(), static_cast<size_t>(fanout));
+        for (size_t p = 0; p < sub.size(); ++p) {
+          ASSERT_EQ(Rows(sub[p]), expected[p]) << "partition " << p;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CoresAndExecution, StablePartitionTest,
+    ::testing::Combine(::testing::Values(1, 4, 32), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return std::to_string(std::get<0>(info.param)) + "cores_" +
+             (std::get<1>(info.param) ? "inline" : "pooled");
+    });
 
 // ---- JoinExec --------------------------------------------------------------
 
