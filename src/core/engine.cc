@@ -7,6 +7,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -48,31 +49,30 @@ int ResolveEnvRetryBudget() {
   return budget;
 }
 
-// One emission path for the cross-query metrics: every counter that
-// used to be hand-threaded out of ExecutionStats by callers is
-// published here when a query completes on the DPU.
+// One emission path for the cross-query metrics, published when a
+// query completes on the DPU: every query counter as `rapid.<field>`,
+// plus the scheduler, pool and latency figures.
 void EmitQueryMetrics(const ExecutionStats& s) {
   auto& reg = MetricsRegistry::Instance();
   static MetricCounter* queries = reg.Counter("rapid.queries");
   static MetricHistogram* latency_ms = reg.Histogram(
       "rapid.query.modeled_ms", {0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000});
-  static MetricCounter* pruned =
-      reg.Counter("rapid.rows.pruned_by_join_filter");
   static MetricCounter* steals = reg.Counter("rapid.sched.steals");
   static MetricCounter* pool_misses = reg.Counter("rapid.pool.misses");
-  static MetricCounter* encoded_bytes =
-      reg.Counter("rapid.dms.encoded_bytes");
-  static MetricCounter* plain_bytes = reg.Counter("rapid.dms.plain_bytes");
-  static MetricCounter* retries = reg.Counter("rapid.query.retries");
   static MetricCounter* demotions = reg.Counter("rapid.query.demotions");
+  static const std::vector<MetricCounter*> counters = [&reg] {
+    std::vector<MetricCounter*> out;
+    QueryCounters{}.Visit([&](const char* name, uint64_t) {
+      out.push_back(reg.Counter(std::string("rapid.") + name));
+    });
+    return out;
+  }();
   queries->Increment();
   latency_ms->Observe(s.modeled_seconds * 1e3);
-  pruned->Add(s.rows_pruned_by_join_filter);
   steals->Add(s.imbalance.steal_count);
   pool_misses->Add(s.tile_pool.misses);
-  encoded_bytes->Add(s.encoded_bytes_moved);
-  plain_bytes->Add(s.plain_bytes_moved);
-  retries->Add(s.dpu_retries);
+  size_t i = 0;
+  s.Visit([&](const char*, uint64_t value) { counters[i++]->Add(value); });
   if (s.demoted_to_unfused) demotions->Increment();
 }
 
@@ -208,7 +208,7 @@ Result<QueryResult> RapidEngine::Execute(const LogicalPtr& plan,
         (failure.IsOutOfMemory() && !attempt.planner.enable_fusion);
     if (cp != nullptr && transient && budget > 0) {
       --budget;
-      ++cp->dpu_retries;
+      ++cp->counters.dpu_retries;
       if (TraceCollector::Recording(TraceMode::kSummary)) {
         auto& tc = TraceCollector::Instance();
         tc.AddStepInstant(
@@ -229,9 +229,7 @@ Result<QueryResult> RapidEngine::Execute(const LogicalPtr& plan,
   }
   MetricsRegistry::Instance().Counter("rapid.query.failures")->Increment();
   if (fallback != nullptr && !result.status().IsCancellation()) {
-    fallback->reused_rounds = ckpt.reused_rounds;
-    fallback->resumed_morsels = ckpt.resumed_morsels;
-    fallback->dpu_retries = ckpt.dpu_retries;
+    fallback->counters = ckpt.counters;
     // Unpartitioned completed subtrees graft directly into the host
     // rerun. Completed partition rounds have no Volcano counterpart;
     // when the partitions' *input* subtree did not itself survive,
@@ -324,7 +322,7 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
       // outputs only under plain paths (defensive shape check).
       if (frag.out.partitioned != IsPartitionAddress(frag.path)) continue;
       if (frag.out.partitioned) {
-        env.reused_rounds += static_cast<uint64_t>(
+        env.query_counters.reused_rounds += static_cast<uint64_t>(
             std::max(0, frag.out.parts.rounds));
       }
       if (TraceCollector::Recording(TraceMode::kSummary)) {
@@ -471,8 +469,7 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
             path, std::move(progress_slots[uid])});
         progress_slots[uid].clear();
       }
-      ckpt->reused_rounds += env.reused_rounds;
-      ckpt->resumed_morsels += env.resumed_morsels;
+      ckpt->counters.Add(env.query_counters);
     }
     return step_status;
   }
@@ -488,16 +485,7 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
         dpu_->core(static_cast<int>(c)).arena().stats());
     result.stats.tile_pool.Accumulate(
         dpu_->core(static_cast<int>(c)).pool().stats());
-    const dpu::EncodedScanCounters& enc =
-        dpu_->core(static_cast<int>(c)).encoded_scan();
-    result.stats.encoded_bytes_moved += enc.encoded_bytes;
-    result.stats.plain_bytes_moved += enc.plain_bytes;
-    result.stats.runs_filtered += enc.runs_filtered;
-    const dpu::JoinFilterCounters& jf =
-        dpu_->core(static_cast<int>(c)).join_filter();
-    result.stats.join_filter_built += jf.filters_built;
-    result.stats.rows_pruned_by_join_filter += jf.rows_pruned;
-    result.stats.filter_bytes += jf.filter_bytes;
+    result.stats.Add(dpu_->core(static_cast<int>(c)).counters());
   }
   // Lifetime-counter deltas -> per-query figures (sizes stay absolute).
   result.stats.tile_pool.acquires -= pool_before.acquires;
@@ -509,14 +497,10 @@ Result<QueryResult> RapidEngine::ExecutePhysical(const PhysicalPlan& plan,
   // Reuse accounting: fold this attempt into the query-lifetime
   // checkpoint totals so the final stats cover every attempt.
   if (ckpt != nullptr) {
-    ckpt->reused_rounds += env.reused_rounds;
-    ckpt->resumed_morsels += env.resumed_morsels;
-    result.stats.reused_rounds = ckpt->reused_rounds;
-    result.stats.resumed_morsels = ckpt->resumed_morsels;
-    result.stats.dpu_retries = ckpt->dpu_retries;
+    ckpt->counters.Add(env.query_counters);
+    result.stats.Add(ckpt->counters);
   } else {
-    result.stats.reused_rounds = env.reused_rounds;
-    result.stats.resumed_morsels = env.resumed_morsels;
+    result.stats.Add(env.query_counters);
   }
   result.rows = std::move(env.outputs[static_cast<size_t>(plan.root)].set);
   return result;
@@ -595,16 +579,12 @@ Result<std::string> RapidEngine::ExplainAnalyze(const LogicalPtr& plan,
                 s.modeled_seconds * 1e3, s.wall_seconds * 1e3,
                 s.total_compute_cycles, s.total_dms_cycles);
   out += buf;
-  std::snprintf(buf, sizeof(buf),
-                " steals=%llu pool_misses=%llu pruned=%llu reused_rounds=%llu"
-                " retries=%llu\n",
+  std::snprintf(buf, sizeof(buf), " steals=%llu pool_misses=%llu",
                 static_cast<unsigned long long>(s.imbalance.steal_count),
-                static_cast<unsigned long long>(s.tile_pool.misses),
-                static_cast<unsigned long long>(
-                    s.rows_pruned_by_join_filter),
-                static_cast<unsigned long long>(s.reused_rounds),
-                static_cast<unsigned long long>(s.dpu_retries));
+                static_cast<unsigned long long>(s.tile_pool.misses));
   out += buf;
+  s.AppendKeyValues(&out);
+  out += "\n";
   RenderStepTree(physical, physical.root, timings, 0, &out);
   return out;
 }

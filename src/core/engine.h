@@ -14,6 +14,7 @@
 
 #include "common/arena.h"
 #include "common/cancel.h"
+#include "common/query_counters.h"
 #include "core/qcomp/planner.h"
 #include "core/qcomp/steps.h"
 #include "dpu/dpu.h"
@@ -58,7 +59,10 @@ struct StepTiming {
   uint64_t rows_out = 0;
 };
 
-struct ExecutionStats {
+// The query counters (common/query_counters.h) are inherited: the
+// checkpoint entries cover every attempt of the query, the DPU-side
+// entries are summed over the dpCores for the attempt that completed.
+struct ExecutionStats : QueryCounters {
   double modeled_seconds = 0;  // total modeled DPU time
   double wall_seconds = 0;     // host wall clock (x86 software mode)
   double total_compute_cycles = 0;
@@ -75,13 +79,6 @@ struct ExecutionStats {
   // pipelines back to step-at-a-time execution (the fused chain's
   // per-core state no longer fit the scratchpad).
   bool demoted_to_unfused = false;
-  // Fragment-checkpoint accounting across all attempts of the query:
-  // partition rounds restored instead of re-executed, fused-pipeline
-  // morsels skipped by mid-step resume, and fragment-level DPU retries
-  // spent (bounded by ExecOptions::retry_budget).
-  uint64_t reused_rounds = 0;
-  uint64_t resumed_morsels = 0;
-  uint64_t dpu_retries = 0;
   // Tile-local memory subsystem, summed over the dpCores at query end.
   // Arena figures are absolute (arenas persist across queries; a warm
   // steady state shows a flat high-water mark); tile_pool counters are
@@ -89,19 +86,6 @@ struct ExecutionStats {
   // this query had to allocate rather than recycle.
   ArenaStats arena;
   TilePoolStats tile_pool;
-  // Encoded scan path (RAPID_ENCODED_SCAN): bytes the DMS actually
-  // moved as RLE runs, the plain bytes those same tiles would have
-  // cost, and the number of runs whose predicate was decided without
-  // expanding a single row.
-  uint64_t encoded_bytes_moved = 0;
-  uint64_t plain_bytes_moved = 0;
-  uint64_t runs_filtered = 0;
-  // Join-filter pushdown (RAPID_JOIN_FILTER): Bloom filters built over
-  // build-side keys, probe rows they pruned before partition/probe
-  // work, and the bytes those filters occupied.
-  uint64_t join_filter_built = 0;
-  uint64_t rows_pruned_by_join_filter = 0;
-  uint64_t filter_bytes = 0;
 };
 
 // A completed step's materialized rows, identified by the logical
@@ -133,21 +117,18 @@ struct FragmentCheckpoint {
     StepProgress progress;
   };
   std::vector<Partial> in_progress;
-  // Accounting accumulated across every attempt of this query.
-  uint64_t reused_rounds = 0;
-  uint64_t resumed_morsels = 0;
-  uint64_t dpu_retries = 0;
+  // Checkpoint counters accumulated across every attempt of this query.
+  QueryCounters counters;
 };
 
 // What the engine hands back when execution fails for good: the
 // checkpoint's completed unpartitioned subtree results (for host
-// fallback grafting) plus the reuse/retry accounting, so callers can
-// report how much DPU work survived even though the fragment did not.
+// fallback grafting) plus its counters, so callers can report how much
+// DPU work survived even though the fragment did not. Only the
+// checkpoint entries are ever nonzero here.
 struct FallbackInfo {
   std::vector<PartialResult> partials;
-  uint64_t reused_rounds = 0;
-  uint64_t resumed_morsels = 0;
-  uint64_t dpu_retries = 0;
+  QueryCounters counters;
 };
 
 struct QueryResult {

@@ -322,8 +322,8 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
       use_filter = true;
       ++result->stats.join_filter_built;
       result->stats.filter_bytes += pair_filter.bytes();
-      core.join_filter().filters_built += 1;
-      core.join_filter().filter_bytes += pair_filter.bytes();
+      core.counters().join_filter_built += 1;
+      core.counters().filter_bytes += pair_filter.bytes();
     }
   }
 
@@ -471,7 +471,7 @@ Status JoinPair(dpu::Dpu& dpu, dpu::DpCore& core, const ColumnSet& build,
                                   params.simd.bloom *
                                   static_cast<double>(rows));
       result->stats.rows_pruned_by_join_filter += tile_pruned;
-      core.join_filter().rows_pruned += tile_pruned;
+      core.counters().rows_pruned_by_join_filter += tile_pruned;
     }
     core.cycles().ChargeCompute(dpu::JoinProbeTileCycles(
         params, rows - tile_pruned, tile_stats.chain_steps,
@@ -575,9 +575,7 @@ Result<ColumnSet> JoinExec::Execute(dpu::Dpu& dpu, const PartitionedData& build,
     total.overflow_recoveries += r.stats.overflow_recoveries;
     total.heavy_hitter_keys += r.stats.heavy_hitter_keys;
     total.heavy_hitter_matches += r.stats.heavy_hitter_matches;
-    total.join_filter_built += r.stats.join_filter_built;
-    total.rows_pruned_by_join_filter += r.stats.rows_pruned_by_join_filter;
-    total.filter_bytes += r.stats.filter_bytes;
+    total.Add(r.stats);
   }
   if (stats != nullptr) *stats = total;
   return merged;

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/query_counters.h"
 #include "common/status.h"
 #include "core/ops/partition_exec.h"
 #include "core/qef/column_set.h"
@@ -93,7 +94,10 @@ struct JoinSpec {
   bool build_join_filter = false;
 };
 
-struct JoinStats {
+// Per-join statistics. The join-filter entries of the query counter
+// table (join_filter_built, rows_pruned_by_join_filter, filter_bytes)
+// are tallied per join here as well as on the executing core.
+struct JoinStats : QueryCounters {
   uint64_t build_rows = 0;
   uint64_t probe_rows = 0;
   uint64_t matches = 0;
@@ -106,12 +110,6 @@ struct JoinStats {
   uint64_t overflow_recoveries = 0;
   uint64_t heavy_hitter_keys = 0;
   uint64_t heavy_hitter_matches = 0;
-  // Join-filter pushdown (RAPID_JOIN_FILTER): per-pair Bloom filters
-  // built over the build keys, probe rows they pruned before the hash
-  // probe, and the bytes the built filters occupy.
-  uint64_t join_filter_built = 0;
-  uint64_t rows_pruned_by_join_filter = 0;
-  uint64_t filter_bytes = 0;
 };
 
 class JoinExec {

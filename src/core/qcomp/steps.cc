@@ -145,8 +145,8 @@ bool BuildJoinFilter(ExecEnv& env, const JoinFilterRef& ref,
     core.cycles().ChargeCompute(insert_cycles);
     core.cycles().ChargeDms(dms_cycles);
     if (core.id() == 0) {
-      core.join_filter().filters_built += 1;
-      core.join_filter().filter_bytes += filter->bytes();
+      core.counters().join_filter_built += 1;
+      core.counters().filter_bytes += filter->bytes();
     }
   });
   span.Annotate("filter_bytes", static_cast<int64_t>(filter->bytes()));
@@ -423,7 +423,7 @@ Status PartitionStep::Execute(ExecEnv& env) const {
   }
   env.counters.partitioned_rows +=
       in.set.num_rows() * (scheme_.rounds.size() - reused);
-  env.reused_rounds += reused;
+  env.query_counters.reused_rounds += reused;
   RAPID_ASSIGN_OR_RETURN(
       PartitionedData parts,
       PartitionExec::Execute(*env.dpu, in.set, key_cols, scheme_, tile_rows_,
@@ -783,7 +783,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
       weights[m] = 0;  // nothing left to schedule for this morsel
       ++resumed;
     }
-    env.resumed_morsels += resumed;
+    env.query_counters.resumed_morsels += resumed;
   }
   if (sp != nullptr) {
     sp->per_morsel.clear();

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/query_counters.h"
 #include "core/expr.h"
 #include "core/ops/groupby_op.h"
 #include "core/ops/join_exec.h"
@@ -89,11 +90,9 @@ struct ExecEnv {
   // Steps consume their slot on entry and refill it on failure; the
   // engine moves surviving slots into the query's FragmentCheckpoint.
   std::vector<StepProgress>* progress = nullptr;
-  // Reuse accounting for the current attempt: partition rounds skipped
-  // via checkpoints and fused-pipeline morsels skipped via resume.
-  // Written single-threaded at step boundaries.
-  uint64_t reused_rounds = 0;
-  uint64_t resumed_morsels = 0;
+  // Reuse accounting for the current attempt (reused_rounds,
+  // resumed_morsels). Written single-threaded at step boundaries.
+  QueryCounters query_counters;
 };
 
 class PlanStep {

@@ -7,46 +7,12 @@
 #define RAPID_DPU_DPCORE_H_
 
 #include "common/arena.h"
+#include "common/query_counters.h"
 #include "dpu/config.h"
 #include "dpu/cost_model.h"
 #include "dpu/dmem.h"
 
 namespace rapid::dpu {
-
-// Per-core tallies of the encoded scan path: DMS bytes actually moved
-// for RLE-topped columns vs what the plain representation would have
-// moved, and predicate evaluations short-circuited at run granularity.
-// Summed over cores into ExecutionStats after each fragment.
-struct EncodedScanCounters {
-  uint64_t encoded_bytes = 0;
-  uint64_t plain_bytes = 0;
-  uint64_t runs_filtered = 0;
-
-  void Reset() { *this = EncodedScanCounters{}; }
-  void Merge(const EncodedScanCounters& other) {
-    encoded_bytes += other.encoded_bytes;
-    plain_bytes += other.plain_bytes;
-    runs_filtered += other.runs_filtered;
-  }
-};
-
-// Per-core tallies of the join-filter pushdown (RAPID_JOIN_FILTER):
-// Bloom filters built from build-side outputs, probe rows the pushed
-// filter dropped before partitioning/materialization, and the bytes
-// the built filters occupy. Summed into ExecutionStats like the
-// encoded-scan counters.
-struct JoinFilterCounters {
-  uint64_t filters_built = 0;
-  uint64_t rows_pruned = 0;
-  uint64_t filter_bytes = 0;
-
-  void Reset() { *this = JoinFilterCounters{}; }
-  void Merge(const JoinFilterCounters& other) {
-    filters_built += other.filters_built;
-    rows_pruned += other.rows_pruned;
-    filter_bytes += other.filter_bytes;
-  }
-};
 
 class DpCore {
  public:
@@ -65,10 +31,11 @@ class DpCore {
   Dmem& dmem() { return dmem_; }
   CycleCounter& cycles() { return cycles_; }
   const CycleCounter& cycles() const { return cycles_; }
-  EncodedScanCounters& encoded_scan() { return encoded_scan_; }
-  const EncodedScanCounters& encoded_scan() const { return encoded_scan_; }
-  JoinFilterCounters& join_filter() { return join_filter_; }
-  const JoinFilterCounters& join_filter() const { return join_filter_; }
+  // This core's share of the query counters (the DPU-side entries:
+  // encoded-scan and join-filter tallies). Reset per attempt; the
+  // engine sums them over the cores when the attempt completes.
+  QueryCounters& counters() { return counters_; }
+  const QueryCounters& counters() const { return counters_; }
 
   // Tile-local scratch memory. Only the worker currently executing
   // this core's morsel may touch either. The arena is never Reset()
@@ -85,8 +52,7 @@ class DpCore {
   int macro_id_;
   Dmem dmem_;
   CycleCounter cycles_;
-  EncodedScanCounters encoded_scan_;
-  JoinFilterCounters join_filter_;
+  QueryCounters counters_;
   Arena arena_;
   TileBufferPool pool_;
 };

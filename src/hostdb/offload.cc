@@ -183,36 +183,23 @@ void QueryReport::Merge(const RapidOperator& op) {
   rapid_wall_seconds += op.rapid_wall_seconds();
   rapid_modeled_seconds += op.rapid_stats().modeled_seconds;
   reused_fragments += op.reused_fragments();
-  reused_rounds += op.reused_rounds();
-  resumed_morsels += op.resumed_morsels();
-  dpu_retries += op.dpu_retries();
-  encoded_bytes_moved += op.encoded_bytes_moved();
-  plain_bytes_moved += op.plain_bytes_moved();
-  runs_filtered += op.runs_filtered();
-  join_filter_built += op.join_filter_built();
-  rows_pruned_by_join_filter += op.rows_pruned_by_join_filter();
-  filter_bytes += op.filter_bytes();
+  Add(op.counters());
 }
 
 std::string QueryReport::Summary() const {
   const char* kind = decision == OffloadDecision::Kind::kFull      ? "full"
                      : decision == OffloadDecision::Kind::kPartial ? "partial"
                                                                    : "none";
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "rows=%zu offload=%s offloaded=%d fell_back=%d modeled_ms=%.3f "
-      "rapid_wall_ms=%.3f host_wall_ms=%.3f encoded_bytes=%llu "
-      "plain_bytes=%llu pruned=%llu reused_rounds=%llu retries=%llu",
-      rows.num_rows(), kind, offloaded ? 1 : 0, fell_back ? 1 : 0,
-      rapid_modeled_seconds * 1e3, rapid_wall_seconds * 1e3,
-      host_wall_seconds * 1e3,
-      static_cast<unsigned long long>(encoded_bytes_moved),
-      static_cast<unsigned long long>(plain_bytes_moved),
-      static_cast<unsigned long long>(rows_pruned_by_join_filter),
-      static_cast<unsigned long long>(reused_rounds),
-      static_cast<unsigned long long>(dpu_retries));
-  return std::string(buf);
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "rows=%zu offload=%s offloaded=%d fell_back=%d "
+                "modeled_ms=%.3f rapid_wall_ms=%.3f host_wall_ms=%.3f",
+                rows.num_rows(), kind, offloaded ? 1 : 0, fell_back ? 1 : 0,
+                rapid_modeled_seconds * 1e3, rapid_wall_seconds * 1e3,
+                host_wall_seconds * 1e3);
+  std::string out(buf);
+  AppendKeyValues(&out);
+  return out;
 }
 
 namespace {

@@ -65,8 +65,10 @@ class OffloadPlanner {
 
 class RapidOperator;
 
-// Result of executing a query through the host with offload.
-struct QueryReport {
+// Result of executing a query through the host with offload. The
+// query counters (common/query_counters.h) are inherited and summed
+// over the query's RAPID placeholders, whether or not they fell back.
+struct QueryReport : QueryCounters {
   core::ColumnSet rows;
   bool offloaded = false;
   bool fell_back = false;  // admission or DPU failure -> local plan
@@ -82,35 +84,16 @@ struct QueryReport {
   // instead of recomputing (0 when nothing fell back or nothing had
   // completed).
   uint64_t reused_fragments = 0;
-  // Fragment-checkpoint accounting summed over the query's RAPID
-  // placeholders (whether or not they ultimately fell back):
-  // partition rounds restored instead of re-executed, fused-pipeline
-  // morsels skipped by mid-step resume, and in-place DPU retries
-  // spent (bounded by RAPID_RETRY_BUDGET / ExecOptions::retry_budget).
-  uint64_t reused_rounds = 0;
-  uint64_t resumed_morsels = 0;
-  uint64_t dpu_retries = 0;
-  // Encoded-scan accounting summed over the RAPID placeholders: bytes
-  // the DMS moved as RLE runs, the plain bytes those tiles would have
-  // cost, and predicate evaluations resolved at run level.
-  uint64_t encoded_bytes_moved = 0;
-  uint64_t plain_bytes_moved = 0;
-  uint64_t runs_filtered = 0;
-  // Join-filter pushdown accounting (RAPID_JOIN_FILTER): build-side
-  // Bloom filters built, probe rows they pruned before the DMS
-  // round trips, and the bytes those filters occupied.
-  uint64_t join_filter_built = 0;
-  uint64_t rows_pruned_by_join_filter = 0;
-  uint64_t filter_bytes = 0;
 
   // Folds one placeholder's accounting into the report: fallback
-  // bookkeeping, wall/modeled time, checkpoint reuse, encoded-scan and
-  // join-filter counters. Called once per fragment by ExecuteQuery.
+  // bookkeeping, wall/modeled time and the query counters. Called once
+  // per fragment by ExecuteQuery.
   void Merge(const RapidOperator& op);
 
   // Stable one-line key=value summary for logs and examples. Keys and
-  // their order are part of the format; values in fixed units
-  // (milliseconds, bytes, counts).
+  // their order are part of the format: the fixed keys, then every
+  // query counter in table order. Values in fixed units (milliseconds,
+  // bytes, counts).
   std::string Summary() const;
 };
 
@@ -138,42 +121,12 @@ class RapidOperator : public Iterator {
   // Completed DPU subtree results the host fallback resumed from
   // (materialized-node overrides) instead of recomputing.
   size_t reused_fragments() const { return reused_fragments_; }
-  // Checkpoint accounting for this placeholder's fragment. Valid on
-  // both outcomes: from the engine's stats when the fragment ran on
-  // RAPID, from the engine's FallbackInfo when it fell back.
-  uint64_t reused_rounds() const {
-    return fell_back_ ? fallback_info_.reused_rounds
-                      : rapid_stats_.reused_rounds;
-  }
-  uint64_t resumed_morsels() const {
-    return fell_back_ ? fallback_info_.resumed_morsels
-                      : rapid_stats_.resumed_morsels;
-  }
-  uint64_t dpu_retries() const {
-    return fell_back_ ? fallback_info_.dpu_retries
-                      : rapid_stats_.dpu_retries;
-  }
-  // Encoded-scan accounting; zero when the fragment fell back (the
-  // host re-execution moves no DMS bytes at all).
-  uint64_t encoded_bytes_moved() const {
-    return fell_back_ ? 0 : rapid_stats_.encoded_bytes_moved;
-  }
-  uint64_t plain_bytes_moved() const {
-    return fell_back_ ? 0 : rapid_stats_.plain_bytes_moved;
-  }
-  uint64_t runs_filtered() const {
-    return fell_back_ ? 0 : rapid_stats_.runs_filtered;
-  }
-  // Join-filter accounting; zero when the fragment fell back (the
-  // host re-execution builds no Bloom filters and prunes nothing).
-  uint64_t join_filter_built() const {
-    return fell_back_ ? 0 : rapid_stats_.join_filter_built;
-  }
-  uint64_t rows_pruned_by_join_filter() const {
-    return fell_back_ ? 0 : rapid_stats_.rows_pruned_by_join_filter;
-  }
-  uint64_t filter_bytes() const {
-    return fell_back_ ? 0 : rapid_stats_.filter_bytes;
+  // Query counters for this placeholder's fragment. Valid on both
+  // outcomes: the engine's stats when the fragment ran on RAPID, the
+  // engine's FallbackInfo when it fell back (checkpoint entries only:
+  // the host re-execution moves no DMS bytes and builds no filters).
+  const QueryCounters& counters() const {
+    return fell_back_ ? fallback_info_.counters : rapid_stats_;
   }
 
  private:
@@ -192,7 +145,7 @@ class RapidOperator : public Iterator {
   core::ExecutionStats rapid_stats_;
   // Checkpoint harvest of the failed DPU run: completed subtree
   // results (kept alive while the Volcano fallback reads them through
-  // node overrides) plus the reuse/retry accounting.
+  // node overrides) plus its checkpoint counters.
   core::FallbackInfo fallback_info_;
   size_t reused_fragments_ = 0;
 };

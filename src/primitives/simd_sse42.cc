@@ -362,8 +362,9 @@ template <typename T>
 uint64_t BloomProbeWord4Way(const T* values, size_t rows,
                             const uint64_t* blocks, uint32_t block_mask) {
   uint64_t w = 0;
+  const size_t full = rows & ~size_t{3};
   size_t i = 0;
-  for (; i + 4 <= rows; i += 4) {
+  for (; i < full; i += 4) {
     const uint64_t h0 = Mix64(static_cast<uint64_t>(values[i + 0]));
     const uint64_t h1 = Mix64(static_cast<uint64_t>(values[i + 1]));
     const uint64_t h2 = Mix64(static_cast<uint64_t>(values[i + 2]));
@@ -381,6 +382,8 @@ uint64_t BloomProbeWord4Way(const T* values, size_t rows,
     w |= static_cast<uint64_t>(BloomBlockTest(b3, static_cast<uint32_t>(h3)))
          << (i + 3);
   }
+  // At most three tail rows: spelling the bound as `rows & ~3` lets the
+  // compiler see that `i` never passes `rows` (<= 64) here.
   for (; i < rows; ++i) {
     const uint64_t h = Mix64(static_cast<uint64_t>(values[i]));
     const uint64_t* b = blocks + BloomBlockIndex(h, block_mask) * kBloomLanes;

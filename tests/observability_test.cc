@@ -10,8 +10,11 @@
 //     span durations reconcile exactly with modeled_seconds;
 //   - stats invariants that were previously unchecked: plain bytes
 //     dominate encoded bytes when encoding is on, static scheduling
-//     never steals, fallback zeroes the DPU-side counters.
+//     never steals, fallback zeroes the DPU-side counters;
+//   - every entry of the query counter table (common/query_counters.h)
+//     reaches Summary(), the EXPLAIN ANALYZE header and the metrics.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -21,10 +24,12 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/query_counters.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/trace.h"
 #include "core/engine.h"
+#include "core/join_filter.h"
 #include "dpu/work_queue.h"
 #include "hostdb/database.h"
 #include "hostdb/offload.h"
@@ -81,6 +86,16 @@ class ScopedSchedMode {
 
  private:
   dpu::SchedMode previous_;
+};
+
+class ScopedJoinFilter {
+ public:
+  explicit ScopedJoinFilter(core::JoinFilterMode mode)
+      : previous_(core::ForceJoinFilter(mode)) {}
+  ~ScopedJoinFilter() { core::ForceJoinFilter(previous_); }
+
+ private:
+  core::JoinFilterMode previous_;
 };
 
 class ScopedEncodedScan {
@@ -321,11 +336,11 @@ TEST_F(ObservabilityTest, FallbackZeroesDpuCountersInReport) {
   ASSERT_OK_AND_ASSIGN(QueryReport fallback,
                        host_.ExecuteQuery(plan, &engine_));
   ASSERT_TRUE(fallback.fell_back);
-  EXPECT_EQ(fallback.encoded_bytes_moved, 0u);
-  EXPECT_EQ(fallback.plain_bytes_moved, 0u);
-  EXPECT_EQ(fallback.runs_filtered, 0u);
-  EXPECT_EQ(fallback.join_filter_built, 0u);
-  EXPECT_EQ(fallback.rows_pruned_by_join_filter, 0u);
+  // Every DPU-side entry of the counter table: the host re-execution
+  // moves no DMS bytes and builds no Bloom filters.
+#define RAPID_EXPECT_ZERO(name) EXPECT_EQ(fallback.name, 0u) << #name;
+  RAPID_DPU_COUNTERS(RAPID_EXPECT_ZERO)
+#undef RAPID_EXPECT_ZERO
   EXPECT_EQ(SortedRows(fallback.rows), SortedRows(clean.rows));
 }
 
@@ -366,9 +381,51 @@ TEST_F(ObservabilityTest, QueryReportSummaryIsStableKeyValueLine) {
   EXPECT_NE(line.find("rows="), std::string::npos);
   EXPECT_NE(line.find("offload="), std::string::npos);
   EXPECT_NE(line.find("modeled_ms="), std::string::npos);
-  EXPECT_NE(line.find("plain_bytes="), std::string::npos);
-  EXPECT_NE(line.find("retries="), std::string::npos);
+  EXPECT_NE(line.find("plain_bytes_moved="), std::string::npos);
+  EXPECT_NE(line.find("dpu_retries="), std::string::npos);
   EXPECT_EQ(line.find('\n'), std::string::npos);
+}
+
+TEST_F(ObservabilityTest, EveryQueryCounterReachesSummaryExplainAndMetrics) {
+  ScopedEncodedScan encoded(storage::EncodedScanMode::kAuto);
+  ScopedJoinFilter filter(core::JoinFilterMode::kAuto);
+  // Encoded scan (the RLE `flag` column) below a join whose selective
+  // build side pushes a Bloom filter into the fact scan.
+  const LogicalPtr plan = LogicalNode::Join(
+      LogicalNode::Scan("dim", {"k", "w"},
+                        {Predicate::Between("w", 0, 40, 0.01)}),
+      LogicalNode::Scan("fact", {"id", "v", "flag"},
+                        {Predicate::CmpConst("flag", primitives::CmpOp::kLe,
+                                             3)}),
+      {"k"}, {"v"}, std::vector<std::string>{"id", "w"},
+      core::JoinType::kInner);
+  ASSERT_OK_AND_ASSIGN(QueryReport report,
+                       host_.ExecuteQuery(plan, &engine_));
+  ASSERT_FALSE(report.fell_back);
+  ASSERT_GT(report.encoded_bytes_moved, 0u);
+  ASSERT_GT(report.join_filter_built, 0u);
+  const std::string summary = report.Summary();
+
+  ASSERT_OK_AND_ASSIGN(std::string explain, engine_.ExplainAnalyze(plan));
+  const std::string header = explain.substr(0, explain.find('\n'));
+
+  std::vector<std::string> metric_names;
+  for (const auto& entry : MetricsRegistry::Instance().Snapshot()) {
+    metric_names.push_back(entry.name);
+  }
+
+  size_t entries = 0;
+  QueryCounters{}.Visit([&](const char* name, uint64_t) {
+    ++entries;
+    const std::string key = std::string(" ") + name + "=";
+    EXPECT_NE(summary.find(key), std::string::npos) << name << ": " << summary;
+    EXPECT_NE(header.find(key), std::string::npos) << name << ": " << header;
+    const std::string metric = std::string("rapid.") + name;
+    EXPECT_NE(std::find(metric_names.begin(), metric_names.end(), metric),
+              metric_names.end())
+        << metric;
+  });
+  EXPECT_EQ(entries, 9u);
 }
 
 // ---- Metrics ---------------------------------------------------------------
