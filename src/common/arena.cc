@@ -1,40 +1,21 @@
 #include "common/arena.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "common/fault.h"
 #include "common/logging.h"
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
+#include "common/settings.h"
 
 namespace rapid {
 
 namespace {
-
-// Large chunks only: madvise below the huge-page size is a no-op at
-// best.
-constexpr size_t kHugePageBytes = size_t{2} << 20;
 
 size_t RoundUp(size_t value, size_t align) {
   return (value + align - 1) & ~(align - 1);
 }
 
 }  // namespace
-
-bool Arena::HugePagesEnabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("RAPID_HUGEPAGES");
-    if (v == nullptr) return false;
-    const std::string_view s(v);
-    return s == "on" || s == "1" || s == "true";
-  }();
-  return enabled;
-}
 
 Arena::Arena(size_t chunk_bytes)
     : chunk_bytes_(RoundUp(chunk_bytes, kChunkAlignment)) {}
@@ -52,13 +33,6 @@ Arena::Chunk& Arena::AddChunk(size_t min_bytes) {
       static_cast<uint8_t*>(std::aligned_alloc(kChunkAlignment, capacity));
   RAPID_CHECK(chunk.data != nullptr);
   chunk.capacity = capacity;
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  if (HugePagesEnabled() && capacity >= kHugePageBytes) {
-    // Best-effort: transparent huge pages shrink the dTLB footprint of
-    // scatter-heavy tiles; failure just leaves 4 KiB pages.
-    (void)madvise(chunk.data, capacity, MADV_HUGEPAGE);
-  }
-#endif
   chunks_.push_back(chunk);
   active_ = chunks_.size() - 1;
   return chunks_.back();
@@ -111,19 +85,13 @@ ArenaStats Arena::stats() const {
 
 // ---- TileBufferPool --------------------------------------------------------
 
-namespace {
-std::atomic<bool> g_pool_bypass{[] {
-  const char* v = std::getenv("RAPID_TILE_POOL");
-  return v != nullptr && std::string_view(v) == "off";
-}()};
-}  // namespace
-
+// RAPID_TILE_POOL values: 0 = off (bypass), 1 = on.
 bool TileBufferPool::ForceBypass(bool bypass) {
-  return g_pool_bypass.exchange(bypass, std::memory_order_relaxed);
+  return ForceSetting(Setting::kTilePool, bypass ? 0 : 1) == 0;
 }
 
 bool TileBufferPool::BypassActive() {
-  return g_pool_bypass.load(std::memory_order_relaxed);
+  return SettingValue(Setting::kTilePool) == 0;
 }
 
 int TileBufferPool::ClassOf(size_t bytes) {

@@ -48,9 +48,7 @@ struct ArenaStats {
 // Chunked bump-pointer arena. Allocations are 64-byte aligned by
 // default (one cache line — every kernel scratch buffer can be handed
 // to SIMD code without further alignment fixups). Chunks are
-// page-aligned and, when RAPID_HUGEPAGES=on, madvise(MADV_HUGEPAGE)d
-// so the kernel can back them with 2 MiB pages and shrink the
-// dTLB footprint of scatter-heavy tiles.
+// page-aligned.
 //
 // Reset() rewinds every chunk cursor but keeps the chunks mapped, so
 // a warm arena never returns to the system allocator.
@@ -83,9 +81,6 @@ class Arena {
   void Reset();
 
   ArenaStats stats() const;
-
-  // RAPID_HUGEPAGES=on|off (default off), resolved once per process.
-  static bool HugePagesEnabled();
 
  private:
   struct Chunk {

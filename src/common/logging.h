@@ -9,8 +9,9 @@
 // (SIMD level pick, encoding report, scheduler mode): messages below
 // the active level are dropped, so the default (warn) keeps test
 // output quiet while RAPID_LOG_LEVEL=info restores the startup
-// notices and debug opens the firehose. The level resolves once from
-// the environment (simd.cc idiom); ForceLogLevel pins it for tests.
+// notices and debug opens the firehose. The level is the
+// RAPID_LOG_LEVEL entry of common/settings.h; ForceLogLevel pins it
+// for tests.
 
 #ifndef RAPID_COMMON_LOGGING_H_
 #define RAPID_COMMON_LOGGING_H_
@@ -23,7 +24,7 @@ namespace rapid {
 enum class LogLevel { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 
 // Active level: ForceLogLevel override if set, else RAPID_LOG_LEVEL
-// (error|warn|info|debug, default warn) resolved once at first use.
+// (error|warn|info|debug, default warn).
 LogLevel LogLevelActive();
 
 // Pins the level (tests); returns the previously active level.

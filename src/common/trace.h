@@ -18,9 +18,8 @@
 //     outside modeled time (plan choices, offload decisions). Their
 //     clock is an event ordinal, not cycles.
 //
-// Gating follows the repo's env-gate idiom (common/simd.cc): the
-// RAPID_TRACE environment variable (off|summary|full, default off) is
-// resolved once; ForceTraceMode pins it for tests. When tracing is off
+// Gating: the RAPID_TRACE entry of common/settings.h (off|summary|full,
+// default off); ForceTraceMode pins it for tests. When tracing is off
 // every instrumentation site costs one relaxed atomic load and a
 // predicted-not-taken branch — the same discipline as the fault
 // injector (see bench_trace_overhead).

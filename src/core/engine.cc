@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/metrics.h"
+#include "common/settings.h"
 #include "common/trace.h"
 #include "storage/loader.h"
 
@@ -23,30 +22,6 @@ namespace {
 // understands plain '0'/'1' subtree paths.
 bool IsPartitionAddress(const std::string& path) {
   return path.size() >= 2 && path.compare(path.size() - 2, 2, "#p") == 0;
-}
-
-int ResolveEnvRetryBudget() {
-  constexpr int kDefault = 2;
-  int budget = kDefault;
-  if (const char* env = std::getenv("RAPID_RETRY_BUDGET");
-      env != nullptr && *env) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 0) {
-      budget = static_cast<int>(std::min(parsed, 16L));
-    } else {
-      RAPID_LOG(kWarn,
-                "invalid RAPID_RETRY_BUDGET value '%s' "
-                "(want an integer >= 0); using %d",
-                env, kDefault);
-    }
-  }
-  if (budget != kDefault) {
-    RAPID_LOG(kInfo, "fragment retry budget overridden to %d "
-              "(RAPID_RETRY_BUDGET)",
-              budget);
-  }
-  return budget;
 }
 
 // One emission path for the cross-query metrics, published when a
@@ -77,12 +52,6 @@ void EmitQueryMetrics(const ExecutionStats& s) {
 }
 
 }  // namespace
-
-int RapidEngine::ResolveRetryBudget(int option) {
-  if (option >= 0) return std::min(option, 16);
-  static const int env_budget = ResolveEnvRetryBudget();
-  return env_budget;
-}
 
 RapidEngine::RapidEngine(const dpu::DpuConfig& config,
                          const dpu::CostParams& params)
@@ -160,7 +129,7 @@ Result<QueryResult> RapidEngine::Execute(const LogicalPtr& plan,
 
   FragmentCheckpoint ckpt;
   FragmentCheckpoint* cp = options.enable_checkpoints ? &ckpt : nullptr;
-  int budget = ResolveRetryBudget(options.retry_budget);
+  int budget = std::clamp(options.retry_budget, 0, 16);
 
   // Recovery ladder, driven by the failure class of each attempt:
   //  1. DMEM OOM while fusion is on -> demote: replan unfused (DRAM
@@ -584,6 +553,8 @@ Result<std::string> RapidEngine::ExplainAnalyze(const LogicalPtr& plan,
                 static_cast<unsigned long long>(s.tile_pool.misses));
   out += buf;
   s.AppendKeyValues(&out);
+  out += ' ';
+  out += SettingsSummary();
   out += "\n";
   RenderStepTree(physical, physical.root, timings, 0, &out);
   return out;

@@ -39,8 +39,8 @@ struct ExecOptions {
   bool enable_checkpoints = true;
   // Fragment-level DPU retries for transient failures before the
   // engine gives up (host fallback is the caller's last resort).
-  // < 0 resolves RAPID_RETRY_BUDGET (default 2, clamped to [0, 16]).
-  int retry_budget = -1;
+  // Clamped to [0, 16].
+  int retry_budget = 2;
 };
 
 struct StepTiming {
@@ -173,10 +173,6 @@ class RapidEngine {
   Result<QueryResult> ExecutePhysical(const PhysicalPlan& plan,
                                       const ExecOptions& options,
                                       FragmentCheckpoint* ckpt = nullptr);
-
-  // Resolved fragment-retry budget: `option` when >= 0, otherwise the
-  // RAPID_RETRY_BUDGET environment value (default 2, clamped [0, 16]).
-  static int ResolveRetryBudget(int option);
 
   // Chrome trace-event JSON of the most recent query executed with
   // RAPID_TRACE (or ForceTraceMode) at summary or full; "" when the

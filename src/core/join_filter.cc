@@ -1,55 +1,16 @@
 #include "core/join_filter.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#include "common/logging.h"
+#include "common/settings.h"
 
 namespace rapid::core {
 
-namespace {
-
-// Resolves RAPID_JOIN_FILTER once and logs the choice (mirrors the
-// RAPID_ENCODED_SCAN startup resolution in storage/encoding_stack.cc).
-JoinFilterMode ResolveStartupMode() {
-  JoinFilterMode mode = JoinFilterMode::kAuto;
-  const char* requested = "auto";
-  if (const char* env = std::getenv("RAPID_JOIN_FILTER");
-      env != nullptr && *env) {
-    requested = env;
-    if (std::strcmp(env, "off") == 0) {
-      mode = JoinFilterMode::kOff;
-    } else if (std::strcmp(env, "auto") == 0) {
-      mode = JoinFilterMode::kAuto;
-    } else {
-      RAPID_LOG(kWarn,
-                "unknown RAPID_JOIN_FILTER value '%s' "
-                "(want off|auto); using auto",
-                env);
-    }
-  }
-  RAPID_LOG(kInfo, "join filters %s (RAPID_JOIN_FILTER=%s)",
-            mode == JoinFilterMode::kAuto ? "auto" : "off", requested);
-  return mode;
-}
-
-// -1 encodes "no override"; anything else is a ForceJoinFilter pin.
-std::atomic<int> g_forced_mode{-1};
-
-}  // namespace
-
 JoinFilterMode JoinFilterActive() {
-  const int forced = g_forced_mode.load(std::memory_order_acquire);
-  if (forced >= 0) return static_cast<JoinFilterMode>(forced);
-  static const JoinFilterMode startup = ResolveStartupMode();
-  return startup;
+  return static_cast<JoinFilterMode>(SettingValue(Setting::kJoinFilter));
 }
 
 JoinFilterMode ForceJoinFilter(JoinFilterMode mode) {
-  const JoinFilterMode previous = JoinFilterActive();
-  g_forced_mode.store(static_cast<int>(mode), std::memory_order_release);
-  return previous;
+  return static_cast<JoinFilterMode>(
+      ForceSetting(Setting::kJoinFilter, static_cast<int>(mode)));
 }
 
 }  // namespace rapid::core

@@ -14,7 +14,7 @@ namespace rapid::core {
 enum class JoinFilterMode { kOff = 0, kAuto = 1 };
 
 // Active mode: a ForceJoinFilter override if set, else the
-// RAPID_JOIN_FILTER startup value (resolved once, logged to stderr).
+// RAPID_JOIN_FILTER entry of common/settings.h.
 JoinFilterMode JoinFilterActive();
 
 // Test hook: pins the mode for the process and returns the previous

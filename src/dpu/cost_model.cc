@@ -36,17 +36,6 @@ CostParams CostParams::HostCalibrated() {
       // the scalar Mix64 chain feeding it.
       params.simd.bloom = 2.0;
       break;
-    case SimdLevel::kSse42:
-      // SSE4.2 vectorizes 32/64-bit filters (4 lanes) and runs the
-      // hardware CRC32 hash loop (the bulk of the 7.7x hash win);
-      // agg/arith/partition-map inherit scalar kernels.
-      params.simd.filter = 3.0;
-      params.simd.hash = 7.5;
-      // 128-bit broadcast fill covers only the 4/8-byte widths.
-      params.simd.rle = 2.0;
-      // 4-way unrolled probe hides the mix-multiply latency.
-      params.simd.bloom = 1.5;
-      break;
     case SimdLevel::kScalar:
       break;
   }

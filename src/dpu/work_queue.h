@@ -19,9 +19,8 @@
 // bit-identical because callers index output slots by morsel id,
 // never by the core that happened to run the morsel.
 //
-// The scheduling mode is resolved once from RAPID_SCHED
-// (static|morsel), mirroring RAPID_SIMD; tests pin it with
-// ForceSchedMode.
+// The scheduling mode is the RAPID_SCHED entry of common/settings.h
+// (static|morsel); tests pin it with ForceSchedMode.
 
 #ifndef RAPID_DPU_WORK_QUEUE_H_
 #define RAPID_DPU_WORK_QUEUE_H_
@@ -41,8 +40,7 @@ enum class SchedMode {
   kMorsel = 1,  // dynamic LPT + work stealing
 };
 
-// Scheduling mode resolved once per process from RAPID_SCHED (logged
-// once), unless pinned by ForceSchedMode.
+// Scheduling mode from RAPID_SCHED, unless pinned by ForceSchedMode.
 SchedMode SchedModeActive();
 
 // Pins the scheduling mode (tests); returns the previous mode.

@@ -13,7 +13,7 @@
 //
 // Thread model: build is single-writer (one core builds the filter
 // from the materialized build side); probes are lock-free concurrent
-// reads. All probe tiers (scalar/SSE4.2/AVX2) compute the same exact
+// reads. Both probe tiers (scalar/AVX2) compute the same exact
 // integer function and are bit-identical.
 
 #ifndef RAPID_PRIMITIVES_BLOOM_H_

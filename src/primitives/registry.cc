@@ -88,7 +88,8 @@ Result<std::string> PrimitiveCatalog::ResolvedIsa(const std::string& name) const
   Result<PrimitiveInfo> info = Find(name);
   if (!info.ok()) return info.status();
   return std::string(SimdLevelName(
-      simd::ResolvedLevel(info.value().family, info.value().input_width)));
+      simd::ResolvedLevel(info.value().family, info.value().operation,
+                          info.value().input_width)));
 }
 
 }  // namespace rapid::primitives

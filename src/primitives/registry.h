@@ -38,7 +38,7 @@ class PrimitiveCatalog {
   // Looks up a primitive by generated name.
   Result<PrimitiveInfo> Find(const std::string& name) const;
 
-  // The instruction-set tier ("scalar", "sse42", "avx2") the named
+  // The instruction-set tier ("scalar" or "avx2") the named
   // primitive's kernel resolved to under the active SIMD level.
   // Evaluated on demand so tests can flip levels via ForceSimdLevel /
   // RAPID_SIMD and observe the substitution the cost model assumes.

@@ -1,9 +1,9 @@
 // Dispatch-table assembly: one table set per (family, element type),
-// three levels each. Level 0 is the scalar reference; level 1 copies
-// it and lets the SSE4.2 TU overlay its kernels; level 2 copies level
-// 1 and lets the AVX2 TU overlay. The accessor picks the table for
-// SimdLevelActive() on every call, so ForceSimdLevel takes effect
-// immediately (the tables themselves are immutable after first use).
+// two levels each. Level 0 is the scalar reference; level 1 copies it
+// and lets the AVX2 TU overlay its kernels. The accessor picks the
+// table for SimdLevelActive() on every call, so ForceSimdLevel takes
+// effect immediately (the tables themselves are immutable after first
+// use).
 
 #include "primitives/simd.h"
 
@@ -13,7 +13,7 @@
 namespace rapid::primitives::simd {
 namespace {
 
-constexpr int kNumLevels = 3;
+constexpr int kNumLevels = 2;
 
 template <typename T>
 FilterKernelTable<T> ScalarFilterTable() {
@@ -118,7 +118,7 @@ PartitionKernelTable ScalarPartitionTable() {
   return t;
 }
 
-// Builds the three layered tables for one family/type.
+// Builds the two layered tables for one family/type.
 template <typename Table, typename MakeScalar>
 struct TableSet {
   Table levels[kNumLevels];
@@ -126,9 +126,7 @@ struct TableSet {
   explicit TableSet(MakeScalar make) {
     levels[0] = make();
     levels[1] = levels[0];
-    Sse42Overlay(&levels[1]);
-    levels[2] = levels[1];
-    Avx2Overlay(&levels[2]);
+    Avx2Overlay(&levels[1]);
   }
 };
 
@@ -184,53 +182,18 @@ const PartitionKernelTable& partition_kernels() {
 RAPID_SIMD_FOR_EACH_TYPE(RAPID_SIMD_INSTANTIATE)
 #undef RAPID_SIMD_INSTANTIATE
 
-SimdLevel ResolvedLevel(std::string_view family, int width) {
-  const SimdLevel active = SimdLevelActive();
-  const int lvl = static_cast<int>(active);
-  // Highest level <= active that overlays kernels for this family and
-  // element width; must be kept in sync with simd_sse42.cc /
-  // simd_avx2.cc. Width 0 means width-independent.
-  if (family == "filter") {
-    if (lvl >= static_cast<int>(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
-    if (lvl >= static_cast<int>(SimdLevel::kSse42) && width >= 4) {
-      return SimdLevel::kSse42;
-    }
+SimdLevel ResolvedLevel(std::string_view family, std::string_view operation,
+                        int width) {
+  // Must match the entries Avx2Overlay installs (simd_avx2.cc); the
+  // dispatch-consistency test compares the two. Agg and arith kernels
+  // exist for 4/8-byte elements only, and the partcol gather
+  // (SwPartitionColumn) has no table entry at all.
+  if (SimdLevelActive() == SimdLevel::kScalar) return SimdLevel::kScalar;
+  if ((family == "agg" || family == "arith") && width < 4) {
     return SimdLevel::kScalar;
   }
-  if (family == "agg" || family == "arith") {
-    if (lvl >= static_cast<int>(SimdLevel::kAvx2) && width >= 4) {
-      return SimdLevel::kAvx2;
-    }
-    return SimdLevel::kScalar;
-  }
-  if (family == "hash") {
-    // The batched CRC kernel is SSE4.2 (no AVX2 CRC exists); under
-    // avx2 the inherited sse42 kernel runs.
-    if (lvl >= static_cast<int>(SimdLevel::kSse42)) return SimdLevel::kSse42;
-    return SimdLevel::kScalar;
-  }
-  if (family == "partition") {
-    if (lvl >= static_cast<int>(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
-    if (lvl >= static_cast<int>(SimdLevel::kSse42)) return SimdLevel::kSse42;
-    return SimdLevel::kScalar;
-  }
-  if (family == "bloom") {
-    // AVX2 probes all eight lanes at once; SSE4.2 only unrolls the
-    // scalar probe (4-way), all widths.
-    if (lvl >= static_cast<int>(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
-    if (lvl >= static_cast<int>(SimdLevel::kSse42)) return SimdLevel::kSse42;
-    return SimdLevel::kScalar;
-  }
-  if (family == "rle") {
-    // Broadcast-fill expansion: AVX2 covers all widths, SSE4.2 only
-    // the 4/8-byte splats.
-    if (lvl >= static_cast<int>(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
-    if (lvl >= static_cast<int>(SimdLevel::kSse42) && width >= 4) {
-      return SimdLevel::kSse42;
-    }
-    return SimdLevel::kScalar;
-  }
-  return SimdLevel::kScalar;
+  if (operation == "partcol") return SimdLevel::kScalar;
+  return SimdLevel::kAvx2;
 }
 
 }  // namespace rapid::primitives::simd

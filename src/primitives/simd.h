@@ -6,10 +6,9 @@
 // Each primitive family (filter, agg, arith, hash, partition) has one
 // kernel table per element type; the table is materialized once per
 // (type, SimdLevel) and the accessor returns the table matching
-// SimdLevelActive(). Levels are layered: the SSE4.2 table starts as a
-// copy of the scalar table with SSE4.2 kernels overlaid, and the AVX2
-// table starts as a copy of the SSE4.2 table — a family/width with no
-// AVX2 kernel transparently inherits the next-best implementation.
+// SimdLevelActive(). Levels are layered: the AVX2 table starts as a
+// copy of the scalar table with AVX2 kernels overlaid — a family/width
+// with no AVX2 kernel transparently runs the scalar one.
 //
 // Kernel contract (all levels, enforced by the equivalence suite):
 //   * bit-vector kernels write ceil(n/64) words, each word written
@@ -207,13 +206,13 @@ template <typename T>
 const RleKernelTable<T>& rle_kernels();
 const PartitionKernelTable& partition_kernels();
 
-// The level whose kernels a (family, element width) pair actually
-// runs at under the active level — lower tiers shine through where a
-// level has no overlay (e.g. hash resolves to sse42 under avx2, agg
-// of 1/2-byte elements resolves to scalar). Families are the catalog
-// names: "filter", "agg", "arith", "hash", "partition", "rle",
-// "bloom".
-SimdLevel ResolvedLevel(std::string_view family, int width);
+// The level whose kernels a catalog primitive (family, operation,
+// element width; width 0 = width-independent) actually runs at under
+// the active level — scalar shines through where AVX2 has no overlay.
+// Families are the catalog names: "filter", "agg", "arith", "hash",
+// "partition", "rle", "bloom".
+SimdLevel ResolvedLevel(std::string_view family, std::string_view operation,
+                        int width);
 
 }  // namespace simd
 }  // namespace rapid::primitives

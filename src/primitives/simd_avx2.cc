@@ -1,10 +1,12 @@
-// AVX2 kernel tier — the primary BVLD/FILT substitution (Section 5.4,
+// AVX2 kernel tier — the BVLD/FILT/CRC32 substitution (Section 5.4,
 // Listing 1): 256-bit predicate evaluation producing BitVector words
-// directly, plus aggregation, arithmetic projection and partition-map
-// kernels. Same structure as simd_sse42.cc: kernels and their
-// explicit instantiations live inside the `#pragma GCC target`
-// region; the overlay functions below are baseline code that only
-// installs pointers.
+// directly, plus aggregation, arithmetic projection, RLE expansion,
+// Bloom probe and partition-map kernels, and the SSE4.2 CRC32 hash
+// loop (there is no 256-bit CRC32 instruction). Kernels and their
+// explicit instantiations live inside `#pragma GCC target` regions;
+// the overlay functions at the bottom are baseline code that only
+// installs pointers, so building the tables never executes an
+// instruction the host may lack.
 //
 // Mask-building per element width (rows per 64-bit BitVector word):
 //   *  8-bit: _mm256_movemask_epi8 -> 32 bits/vec, 2 vecs/word;
@@ -20,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "primitives/agg.h"
 #include "primitives/simd.h"
@@ -788,11 +791,99 @@ void ScatterColWcAvx2(const int64_t* input, const uint16_t* partition_of,
 
 #pragma GCC pop_options
 
+#pragma GCC push_options
+#pragma GCC target("sse4.2")
+
+namespace rapid::primitives::simd::sse42_impl {
+
+// ---- Hash kernels ---------------------------------------------------------
+// One crc32 instruction per 8-byte key; sign-extension of narrower
+// signed keys matches the scalar static_cast<uint64_t>(keys[i]). The
+// 4-way unroll hides the 3-cycle crc32 latency across independent
+// rows. Seeds match Crc32U64 / Crc32Combine exactly.
+
+template <typename T>
+void HashTile(const T* keys, size_t n, uint32_t* out) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    out[i + 0] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        0xFFFFFFFFu, static_cast<uint64_t>(keys[i + 0])));
+    out[i + 1] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        0xFFFFFFFFu, static_cast<uint64_t>(keys[i + 1])));
+    out[i + 2] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        0xFFFFFFFFu, static_cast<uint64_t>(keys[i + 2])));
+    out[i + 3] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        0xFFFFFFFFu, static_cast<uint64_t>(keys[i + 3])));
+  }
+  for (; i < n; ++i) {
+    out[i] = static_cast<uint32_t>(
+        __builtin_ia32_crc32di(0xFFFFFFFFu, static_cast<uint64_t>(keys[i])));
+  }
+}
+
+template <typename T>
+void HashCombineTile(const T* keys, size_t n, uint32_t* inout) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    inout[i + 0] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        inout[i + 0], static_cast<uint64_t>(keys[i + 0])));
+    inout[i + 1] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        inout[i + 1], static_cast<uint64_t>(keys[i + 1])));
+    inout[i + 2] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        inout[i + 2], static_cast<uint64_t>(keys[i + 2])));
+    inout[i + 3] = static_cast<uint32_t>(__builtin_ia32_crc32di(
+        inout[i + 3], static_cast<uint64_t>(keys[i + 3])));
+  }
+  for (; i < n; ++i) {
+    inout[i] = static_cast<uint32_t>(
+        __builtin_ia32_crc32di(inout[i], static_cast<uint64_t>(keys[i])));
+  }
+}
+
+#define RAPID_SSE42_INSTANTIATE_HASH(T)                      \
+  template void HashTile<T>(const T*, size_t, uint32_t*);    \
+  template void HashCombineTile<T>(const T*, size_t, uint32_t*);
+RAPID_SIMD_FOR_EACH_TYPE(RAPID_SSE42_INSTANTIATE_HASH)
+#undef RAPID_SSE42_INSTANTIATE_HASH
+
+}  // namespace rapid::primitives::simd::sse42_impl
+
+#pragma GCC pop_options
+
 #endif  // RAPID_SIMD_X86_64
 
 namespace rapid::primitives::simd {
 
 #if defined(RAPID_SIMD_X86_64)
+
+namespace {
+
+// Plain-C++ 4-way partial histogram: four independent count arrays
+// break the load-increment-store dependency on hot partitions. Merged
+// counts are order-independent, so the result is bit-identical.
+void Histogram4Way(const uint16_t* partition_of, size_t n, uint32_t* counts,
+                   size_t fanout) {
+  if (n < 256 || fanout > 8192) {
+    for (size_t i = 0; i < n; ++i) ++counts[partition_of[i]];
+    return;
+  }
+  thread_local std::vector<uint32_t> scratch;
+  scratch.assign(3 * fanout, 0);
+  uint32_t* c1 = scratch.data();
+  uint32_t* c2 = c1 + fanout;
+  uint32_t* c3 = c2 + fanout;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++counts[partition_of[i + 0]];
+    ++c1[partition_of[i + 1]];
+    ++c2[partition_of[i + 2]];
+    ++c3[partition_of[i + 3]];
+  }
+  for (; i < n; ++i) ++counts[partition_of[i]];
+  for (size_t p = 0; p < fanout; ++p) counts[p] += c1[p] + c2[p] + c3[p];
+}
+
+}  // namespace
 
 #define RAPID_AVX2_OVERLAY_FILTER(T)                                         \
   void Avx2Overlay(FilterKernelTable<T>* t) {                                \
@@ -871,12 +962,13 @@ void Avx2Overlay(ArithKernelTable<uint8_t>* t) { (void)t; }
 void Avx2Overlay(ArithKernelTable<int16_t>* t) { (void)t; }
 void Avx2Overlay(ArithKernelTable<uint16_t>* t) { (void)t; }
 
-// No AVX2 CRC32 instruction exists; the inherited SSE4.2 batched
-// kernels are already the best x86 tier.
-#define RAPID_AVX2_OVERLAY_HASH_NOOP(T) \
-  void Avx2Overlay(HashKernelTable<T>* t) { (void)t; }
-RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_OVERLAY_HASH_NOOP)
-#undef RAPID_AVX2_OVERLAY_HASH_NOOP
+#define RAPID_AVX2_OVERLAY_HASH(T)                \
+  void Avx2Overlay(HashKernelTable<T>* t) {       \
+    t->tile = &sse42_impl::HashTile<T>;           \
+    t->combine = &sse42_impl::HashCombineTile<T>; \
+  }
+RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_OVERLAY_HASH)
+#undef RAPID_AVX2_OVERLAY_HASH
 
 #define RAPID_AVX2_OVERLAY_BLOOM(T) \
   void Avx2Overlay(BloomKernelTable<T>* t) { t->probe_bv = &avx2_impl::BloomProbeBv<T>; }
@@ -890,6 +982,7 @@ RAPID_SIMD_FOR_EACH_TYPE(RAPID_AVX2_OVERLAY_RLE)
 
 void Avx2Overlay(PartitionKernelTable* t) {
   t->partition_of = &avx2_impl::PartitionOfAvx2;
+  t->histogram = &Histogram4Way;
   t->bucket_indices = &avx2_impl::BucketIndicesAvx2;
   t->scatter_col = &avx2_impl::ScatterColWcAvx2;
 }

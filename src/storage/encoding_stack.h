@@ -84,14 +84,14 @@ std::vector<ColumnEncodingReport> BuildTableEncodings(Table* table);
 //
 // RAPID_ENCODED_SCAN=off|auto (default auto) decides whether the
 // relation accessor ships RLE-topped vectors over the DMS and filters
-// on compressed data. Resolved once at startup and logged; tests pin
-// it in-process via ForceEncodedScan. Both modes are bit-identical —
+// on compressed data (an entry of common/settings.h); tests pin it
+// in-process via ForceEncodedScan. Both modes are bit-identical —
 // the gate changes bytes moved and modeled cycles, never results.
 
 enum class EncodedScanMode : int { kOff = 0, kAuto = 1 };
 
 // Mode in effect right now: a ForceEncodedScan override if one is
-// active, otherwise the startup resolution of RAPID_ENCODED_SCAN.
+// active, otherwise RAPID_ENCODED_SCAN.
 EncodedScanMode EncodedScanActive();
 
 // Overrides the active mode and returns the previously active mode so

@@ -293,8 +293,7 @@ TEST_F(EncodedScanEngineTest, OffAndAutoBitIdenticalAcrossTiersAndSchedulers) {
   }
   ASSERT_EQ(reference.rows.num_rows(), 1u);
 
-  const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
-                              SimdLevel::kAvx2};
+  const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kAvx2};
   const dpu::SchedMode scheds[] = {dpu::SchedMode::kStatic,
                                    dpu::SchedMode::kMorsel};
   for (SimdLevel level : levels) {

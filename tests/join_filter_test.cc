@@ -149,8 +149,7 @@ TEST_F(JoinFilterEngineTest, OffAndAutoBitIdenticalAcrossTiersAndSchedulers) {
   }
   ASSERT_GT(reference.rows.num_rows(), 0u);
 
-  const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
-                              SimdLevel::kAvx2};
+  const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kAvx2};
   const dpu::SchedMode scheds[] = {dpu::SchedMode::kStatic,
                                    dpu::SchedMode::kMorsel};
   for (SimdLevel level : levels) {
@@ -189,8 +188,7 @@ TEST_F(JoinFilterEngineTest, SemiAntiLeftOuterSemanticsUnchanged) {
   // pruning skips probe work without dropping output rows.
   const JoinType types[] = {JoinType::kSemi, JoinType::kAnti,
                             JoinType::kLeftOuter};
-  const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kSse42,
-                              SimdLevel::kAvx2};
+  const SimdLevel levels[] = {SimdLevel::kScalar, SimdLevel::kAvx2};
   const dpu::SchedMode scheds[] = {dpu::SchedMode::kStatic,
                                    dpu::SchedMode::kMorsel};
   for (JoinType type : types) {

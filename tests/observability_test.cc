@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -26,10 +27,12 @@
 #include "common/metrics.h"
 #include "common/query_counters.h"
 #include "common/rng.h"
+#include "common/settings.h"
 #include "common/simd.h"
 #include "common/trace.h"
 #include "core/engine.h"
 #include "core/join_filter.h"
+#include "dpu/config.h"
 #include "dpu/work_queue.h"
 #include "hostdb/database.h"
 #include "hostdb/offload.h"
@@ -352,6 +355,31 @@ TEST_F(ObservabilityTest, ExplainAnalyzeRendersPerNodeActuals) {
   EXPECT_NE(text.find("rows="), std::string::npos);
   EXPECT_NE(text.find("modeled_ms="), std::string::npos);
   EXPECT_NE(text.find("compute_cycles="), std::string::npos);
+  // The header records every entry of the settings table with the value
+  // in force, read back through each module's typed accessor.
+  const std::string header = text.substr(0, text.find('\n'));
+  const std::string settings[] = {
+      std::string("RAPID_SIMD=") + SimdLevelName(SimdLevelActive()),
+      std::string("RAPID_SCHED=") + dpu::SchedModeName(dpu::SchedModeActive()),
+      "RAPID_CORES=" + std::to_string(dpu::DpuConfig::Default().num_cores),
+      std::string("RAPID_ENCODED_SCAN=") +
+          (storage::EncodedScanActive() == storage::EncodedScanMode::kAuto
+               ? "auto"
+               : "off"),
+      std::string("RAPID_JOIN_FILTER=") +
+          (core::JoinFilterActive() == core::JoinFilterMode::kAuto ? "auto"
+                                                                   : "off"),
+      std::string("RAPID_TILE_POOL=") +
+          (TileBufferPool::BypassActive() ? "off" : "on"),
+      std::string("RAPID_TRACE=") + TraceModeName(TraceModeActive()),
+      "RAPID_TRACE_PATH=" + TracePath(),
+      std::string("RAPID_LOG_LEVEL=") + LogLevelName(LogLevelActive()),
+  };
+  ASSERT_EQ(std::size(settings), static_cast<size_t>(kNumSettings));
+  for (const std::string& setting : settings) {
+    EXPECT_NE(header.find(" " + setting), std::string::npos)
+        << setting << ": " << header;
+  }
   // A join plan renders more than one physical node (lines are
   // indented two spaces per tree level, then "#<id> <describe>").
   size_t nodes = 0;

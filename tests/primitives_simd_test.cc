@@ -4,9 +4,9 @@
 // same bit-vector words (including zero tail bits), same RID lists in
 // the same order, same aggregate state, same hashes. The suite runs
 // the same tiles under ForceSimdLevel(kScalar) and under every level
-// up to SimdLevelSupported(), so on an AVX2 host it covers scalar,
-// SSE4.2 and AVX2 in one binary; the RAPID_SIMD=off CI leg then
-// re-runs it with dispatch pinned to scalar.
+// up to SimdLevelSupported(), so on an AVX2 host it covers scalar and
+// AVX2 in one binary; the RAPID_SIMD=off CI leg then re-runs it with
+// dispatch pinned to scalar.
 
 #include <cstdint>
 #include <limits>
@@ -500,11 +500,113 @@ TEST(SimdDispatchTest, ResolvedLevelNeverExceedsActiveLevel) {
   LevelGuard guard;
   for (SimdLevel level : LevelsToTest()) {
     ForceSimdLevel(level);
-    for (const char* family : {"filter", "agg", "arith", "hash", "partition"}) {
-      for (int width : {1, 2, 4, 8}) {
-        EXPECT_LE(static_cast<int>(simd::ResolvedLevel(family, width)),
-                  static_cast<int>(level))
-            << family << " width " << width;
+    for (const PrimitiveInfo& info : PrimitiveCatalog::Instance().primitives()) {
+      EXPECT_LE(static_cast<int>(simd::ResolvedLevel(
+                    info.family, info.operation, info.input_width)),
+                static_cast<int>(level))
+          << info.name;
+    }
+  }
+}
+
+// Addresses of the dispatch-table kernels a catalog primitive runs
+// under the active level; empty for a primitive with no table entry.
+template <typename T>
+std::vector<uintptr_t> KernelsOf(const PrimitiveInfo& info) {
+  const auto addr = [](auto fn) { return reinterpret_cast<uintptr_t>(fn); };
+  const auto index = [&](std::initializer_list<const char*> ops) {
+    int i = 0;
+    for (const char* op : ops) {
+      if (info.operation == op) return i;
+      ++i;
+    }
+    ADD_FAILURE() << "unmapped operation " << info.name;
+    return 0;
+  };
+  if (info.family == "filter") {
+    const int op = index({"eq", "ne", "lt", "le", "gt", "ge"});
+    return {addr(simd::filter_kernels<T>().const_bv[op])};
+  }
+  if (info.family == "arith") {
+    const int op = index({"add", "sub", "mul"});
+    return {addr(simd::arith_kernels<T>().colcol[op]),
+            addr(simd::arith_kernels<T>().colconst[op])};
+  }
+  if (info.family == "hash") {
+    return {addr(simd::hash_kernels<T>().tile),
+            addr(simd::hash_kernels<T>().combine)};
+  }
+  if (info.family == "agg") {
+    return {addr(simd::agg_kernels<T>().tile),
+            addr(simd::agg_kernels<T>().tile_selected)};
+  }
+  if (info.family == "rle") return {addr(simd::rle_kernels<T>().expand)};
+  if (info.family == "partition") {
+    const simd::PartitionKernelTable& t = simd::partition_kernels();
+    if (info.operation == "map") {
+      return {addr(t.partition_of), addr(t.histogram)};
+    }
+    if (info.operation == "scatcol") return {addr(t.scatter_col)};
+    if (info.operation == "partcol") return {};  // plain gather, no entry
+  }
+  ADD_FAILURE() << "unmapped primitive " << info.name;
+  return {};
+}
+
+// Signed and unsigned element types of the primitive's width (64-bit
+// for width-independent primitives).
+std::vector<uintptr_t> KernelsOf(const PrimitiveInfo& info) {
+  std::vector<uintptr_t> out;
+  const auto add = [&](std::vector<uintptr_t> more) {
+    out.insert(out.end(), more.begin(), more.end());
+  };
+  switch (info.input_width) {
+    case 1:
+      add(KernelsOf<int8_t>(info));
+      add(KernelsOf<uint8_t>(info));
+      break;
+    case 2:
+      add(KernelsOf<int16_t>(info));
+      add(KernelsOf<uint16_t>(info));
+      break;
+    case 4:
+      add(KernelsOf<int32_t>(info));
+      add(KernelsOf<uint32_t>(info));
+      break;
+    default:
+      add(KernelsOf<int64_t>(info));
+      add(KernelsOf<uint64_t>(info));
+      break;
+  }
+  return out;
+}
+
+// ResolvedIsa is written by hand next to the overlays; it must report
+// avx2 exactly for the primitives whose installed kernels differ from
+// the scalar table's.
+TEST(SimdDispatchTest, ResolvedIsaMatchesInstalledKernels) {
+  LevelGuard guard;
+  const auto& catalog = PrimitiveCatalog::Instance();
+  ForceSimdLevel(SimdLevel::kScalar);
+  std::vector<std::vector<uintptr_t>> scalar;
+  for (const PrimitiveInfo& info : catalog.primitives()) {
+    scalar.push_back(KernelsOf(info));
+  }
+  for (SimdLevel level : LevelsToTest()) {
+    ForceSimdLevel(level);
+    for (size_t i = 0; i < catalog.primitives().size(); ++i) {
+      const PrimitiveInfo& info = catalog.primitives()[i];
+      const std::vector<uintptr_t> active = KernelsOf(info);
+      ASSERT_EQ(active.size(), scalar[i].size()) << info.name;
+      size_t differing = 0;
+      for (size_t k = 0; k < active.size(); ++k) {
+        if (active[k] != scalar[i][k]) ++differing;
+      }
+      const bool avx2 = catalog.ResolvedIsa(info.name).value() == "avx2";
+      EXPECT_EQ(differing, avx2 ? active.size() : 0u)
+          << info.name << " at " << rapid::SimdLevelName(level);
+      if (avx2) {
+        EXPECT_FALSE(active.empty()) << info.name;
       }
     }
   }
@@ -523,13 +625,13 @@ TEST(SimdDispatchTest, CatalogReportsResolvedIsa) {
 
   if (SimdLevelSupported() >= SimdLevel::kAvx2) {
     ForceSimdLevel(SimdLevel::kAvx2);
-    // 4-byte filters run AVX2 kernels; the CRC32 hash family has no
-    // AVX2 form and resolves to the inherited SSE4.2 kernels.
+    // 4-byte filters run AVX2 kernels; the CRC32 hash loop belongs to
+    // the same tier.
     EXPECT_EQ("avx2", catalog
                           .ResolvedIsa(PrimitiveCatalog::FilterName("eq", 4,
                                                                     false))
                           .value());
-    EXPECT_EQ("sse42", catalog.ResolvedIsa("rpdmpr_crc32_ub8").value());
+    EXPECT_EQ("avx2", catalog.ResolvedIsa("rpdmpr_crc32_ub8").value());
   }
   EXPECT_FALSE(catalog.ResolvedIsa("no_such_primitive").ok());
 }
