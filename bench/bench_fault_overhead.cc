@@ -10,235 +10,102 @@
 //   1. Microbenchmark: a DMEM alloc/reset loop dominated by the
 //      RAPID_FAULT_POINT check itself.
 //   2. End-to-end: a filter+group-by query and a partitioned hash
-//      join, with the injector left disabled vs armed-but-never-firing
-//      (probability 0). The disabled case must be within run-to-run
-//      noise of the seed's pre-injector numbers; the armed case bounds
-//      the cost of the slow path's RNG draw.
+//      join, with the injector left disabled (production), armed but
+//      never firing (probability 0, bounding the slow path's RNG
+//      draw), and with fragment checkpointing off. On the fault-free
+//      path checkpointing costs the subtree_steps map build, the
+//      per-step done/progress vectors and the progress pointer
+//      threading — no data copies. Gate: production stays within 2%
+//      (+0.5 ms of timer noise on short queries) of checkpoints off.
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <vector>
+#include <initializer_list>
 
 #include "bench/bench_util.h"
 #include "common/fault.h"
-#include "common/rng.h"
-#include "core/engine.h"
 #include "dpu/dmem.h"
-#include "storage/loader.h"
 
 namespace {
 
 using namespace rapid;
 using namespace rapid::core;
-using primitives::CmpOp;
 
-constexpr size_t kRows = 400'000;
-constexpr int kQueryReps = 5;
+constexpr int kReps = 63;  // a multiple of the 3 query arms
+constexpr size_t kAllocIters = 4'000'000;
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+void Disarm() { FaultInjector::Instance().Reset(); }
+
+// Armed at probability zero: the gate takes the slow path (map lookup
+// + RNG draw) on every poll but never injects.
+void ArmQuietly(std::initializer_list<const char*> sites) {
+  FaultInjector::Instance().Reset(0x0eadful);
+  FaultInjector::SiteSpec never;
+  never.probability = 0.0;
+  for (const char* site : sites) FaultInjector::Instance().Arm(site, never);
 }
 
 // DMEM bump allocation: ~the cheapest operation carrying a fault
 // point, so the gate's share of its cost is maximal.
-double AllocLoopNsPerOp(size_t iters) {
+uint64_t AllocLoop() {
   dpu::Dmem dmem(32 * 1024);
-  const auto start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < iters; ++i) {
-    auto r = dmem.Allocate(64);
-    if (!r.ok()) dmem.Reset();
+  uint64_t resets = 0;
+  for (size_t i = 0; i < kAllocIters; ++i) {
+    if (!dmem.Allocate(64).ok()) {
+      dmem.Reset();
+      ++resets;
+    }
   }
-  return SecondsSince(start) / static_cast<double>(iters) * 1e9;
-}
-
-void LoadData(RapidEngine& engine) {
-  Rng rng(99);
-  std::vector<storage::ColumnSpec> specs = {
-      {"id", storage::ColumnKind::kInt64},
-      {"grp", storage::ColumnKind::kInt32},
-      {"val", storage::ColumnKind::kInt32}};
-  std::vector<storage::ColumnData> data(3);
-  for (size_t i = 0; i < kRows; ++i) {
-    data[0].ints.push_back(static_cast<int64_t>(i));
-    data[1].ints.push_back(rng.NextInRange(0, 255));
-    data[2].ints.push_back(rng.NextInRange(0, 9999));
-  }
-  RAPID_CHECK(engine.Load(storage::LoadTable("t", specs, data).value()).ok());
-
-  std::vector<storage::ColumnSpec> dspecs = {
-      {"k", storage::ColumnKind::kInt64},
-      {"w", storage::ColumnKind::kInt32}};
-  std::vector<storage::ColumnData> ddata(2);
-  for (int i = 0; i < 256; ++i) {
-    ddata[0].ints.push_back(i);
-    ddata[1].ints.push_back(i * 7);
-  }
-  RAPID_CHECK(
-      engine.Load(storage::LoadTable("d", dspecs, ddata).value()).ok());
-}
-
-LogicalPtr AggPlan() {
-  return LogicalNode::GroupBy(
-      LogicalNode::Scan("t", {"grp", "val"},
-                        {Predicate::CmpConst("val", CmpOp::kLt, 5000)}),
-      {{"grp", Expr::Col("grp")}},
-      {{"s", AggFunc::kSum, Expr::Col("val"), {}}});
-}
-
-LogicalPtr JoinPlan() {
-  return LogicalNode::Join(LogicalNode::Scan("t", {"grp", "val"}),
-                           LogicalNode::Scan("d", {"k", "w"}), {"grp"}, {"k"},
-                           {"val", "w"});
-}
-
-double QuerySeconds(RapidEngine& engine, const LogicalPtr& plan,
-                    bool enable_checkpoints = true) {
-  ExecOptions options;
-  options.planner.enable_fusion = false;  // exercise the partition path
-  options.enable_checkpoints = enable_checkpoints;
-  double best = 1e30;
-  for (int i = 0; i < kQueryReps; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    auto result = engine.Execute(plan, options);
-    RAPID_CHECK(result.ok());
-    const double s = SecondsSince(start);
-    if (s < best) best = s;
-  }
-  return best;
+  return resets;
 }
 
 }  // namespace
 
 int main() {
   bench::Header("Fault injector", "overhead of compiled-in fault points");
+  bench::Harness harness("fault", kReps);
 
-  // Make sure nothing is armed from the environment.
-  FaultInjector::Instance().Reset();
-
-  constexpr size_t kAllocIters = 4'000'000;
-  const double alloc_disabled = AllocLoopNsPerOp(kAllocIters);
-
-  // Armed at probability zero: the gate now takes the slow path (map
-  // lookup + RNG draw) on every poll but never injects.
-  FaultInjector::Instance().Reset(0x0eadful);
-  FaultInjector::SiteSpec never;
-  never.probability = 0.0;
-  FaultInjector::Instance().Arm(faults::kDmemAlloc, never);
-  const double alloc_armed = AllocLoopNsPerOp(kAllocIters);
-  FaultInjector::Instance().Reset();
-
-  std::printf("\nDMEM alloc loop (%zu iters):\n", kAllocIters);
-  std::printf("  injector disabled        %7.2f ns/op\n", alloc_disabled);
-  std::printf("  armed, probability 0     %7.2f ns/op  (%.1f%% overhead)\n",
-              alloc_armed,
-              (alloc_armed / alloc_disabled - 1.0) * 100.0);
+  const bench::CaseResult& alloc = harness.Case<uint64_t>(
+      "dmem alloc loop",
+      {{"disabled", Disarm, AllocLoop},
+       {"armed p=0", [] { ArmQuietly({faults::kDmemAlloc}); }, AllocLoop}},
+      [](uint64_t& resets) {
+        return bench::Sample{resets, {{"iters", kAllocIters}}};
+      });
+  const double disabled_ns =
+      alloc.Get("disabled").wall_ms.median * 1e6 / kAllocIters;
+  const double armed_ns =
+      alloc.Get("armed p=0").wall_ms.median * 1e6 / kAllocIters;
+  std::printf("  per op: disabled %.2f ns, armed p=0 %.2f ns (%+.1f%%)\n",
+              disabled_ns, armed_ns, (armed_ns / disabled_ns - 1.0) * 100.0);
 
   RapidEngine engine;
-  LoadData(engine);
-
-  struct QueryCase {
-    const char* name;
-    LogicalPtr plan;
-    double disabled = 0;        // injector off, checkpoints on (production)
-    double armed = 0;           // injector armed p=0, checkpoints on
-    double no_checkpoints = 0;  // injector off, checkpoints off
+  bench::LoadOverheadTables(engine);
+  auto query = [&engine](const LogicalPtr& plan, bool checkpoints) {
+    return [&engine, plan, checkpoints] {
+      ExecOptions options;
+      options.planner.enable_fusion = false;  // exercise the partition path
+      options.enable_checkpoints = checkpoints;
+      return bench::Must(engine.Execute(plan, options));
+    };
   };
-  QueryCase cases[] = {{"filter+group-by", AggPlan()},
-                       {"partitioned join", JoinPlan()}};
-
-  std::printf("\nEnd-to-end queries (%zu rows, best of %d):\n", kRows,
-              kQueryReps);
-  std::printf("  %-18s %12s %12s %10s\n", "query", "disabled", "armed p=0",
-              "overhead");
-  for (QueryCase& c : cases) {
-    FaultInjector::Instance().Reset();
-    c.disabled = QuerySeconds(engine, c.plan);
-
-    FaultInjector::Instance().Reset(0x0eadful);
-    FaultInjector::SiteSpec quiet;
-    quiet.probability = 0.0;
-    for (const char* site : {faults::kDmsTransfer, faults::kDmsPartition,
-                             faults::kDmemAlloc, faults::kJoinBuild}) {
-      FaultInjector::Instance().Arm(site, quiet);
-    }
-    c.armed = QuerySeconds(engine, c.plan);
-    FaultInjector::Instance().Reset();
-
-    std::printf("  %-18s %9.3f ms %9.3f ms %9.1f%%\n", c.name,
-                c.disabled * 1e3, c.armed * 1e3,
-                (c.armed / c.disabled - 1.0) * 100.0);
+  const std::pair<std::string, LogicalPtr> plans[] = {
+      {"filter+group-by", bench::OverheadAggPlan()},
+      {"partitioned join", bench::OverheadJoinPlan()}};
+  for (const auto& [name, plan] : plans) {
+    const bench::CaseResult& c = harness.Case<QueryResult>(
+        name,
+        {{"disabled", Disarm, query(plan, true)},
+         {"armed p=0",
+          [] {
+            ArmQuietly({faults::kDmsTransfer, faults::kDmsPartition,
+                        faults::kDmemAlloc, faults::kJoinBuild});
+          },
+          query(plan, true)},
+         {"no checkpoints", Disarm, query(plan, false)}},
+        bench::QuerySample);
+    const double on = c.Get("disabled").wall_ms.median;
+    const double bound = c.Get("no checkpoints").wall_ms.median * 1.02 + 0.5;
+    harness.Gate(name + ": checkpoints on <= off*1.02 + 0.5 ms", on, bound,
+                 on <= bound);
   }
-
-  // ---- Checkpoint bookkeeping ----------------------------------------------
-  // Fragment checkpointing is on by default: on the fault-free path
-  // its cost is the subtree_steps map build, the per-step done/progress
-  // vectors and the progress pointer threading — no data copies. The
-  // A/B below bounds that bookkeeping; interleaved best-of-reps damps
-  // clock drift between the two configurations.
-  std::printf("\nFragment checkpointing (fault-free, best of %d):\n",
-              kQueryReps);
-  std::printf("  %-18s %12s %12s %10s\n", "query", "ckpt off", "ckpt on",
-              "overhead");
-  double worst_overhead = 0;
-  for (QueryCase& c : cases) {
-    // Interleave the two configurations rep by rep so frequency and
-    // cache drift hit both sides equally; keep the best of each.
-    c.no_checkpoints = 1e30;
-    c.disabled = 1e30;
-    for (int i = 0; i < kQueryReps; ++i) {
-      c.no_checkpoints =
-          std::min(c.no_checkpoints, QuerySeconds(engine, c.plan, false));
-      c.disabled = std::min(c.disabled, QuerySeconds(engine, c.plan, true));
-    }
-    const double overhead = c.disabled / c.no_checkpoints - 1.0;
-    if (overhead > worst_overhead) worst_overhead = overhead;
-    std::printf("  %-18s %9.3f ms %9.3f ms %9.1f%%\n", c.name,
-                c.no_checkpoints * 1e3, c.disabled * 1e3, overhead * 100.0);
-  }
-
-  // ---- JSON ----------------------------------------------------------------
-  FILE* json = std::fopen("BENCH_fault.json", "w");
-  RAPID_CHECK(json != nullptr);
-  std::fprintf(json,
-               "{\n  \"alloc_loop_iters\": %zu,\n"
-               "  \"alloc_disabled_ns\": %.3f,\n  \"alloc_armed_ns\": %.3f,\n"
-               "  \"rows\": %zu,\n  \"queries\": [\n",
-               kAllocIters, alloc_disabled, alloc_armed, kRows);
-  const size_t ncases = sizeof(cases) / sizeof(cases[0]);
-  for (size_t i = 0; i < ncases; ++i) {
-    const QueryCase& c = cases[i];
-    std::fprintf(json,
-                 "    {\"query\": \"%s\", \"disabled_ms\": %.4f,"
-                 " \"armed_ms\": %.4f,\n     \"no_checkpoints_ms\": %.4f,"
-                 " \"checkpoint_overhead_pct\": %.2f}%s\n",
-                 c.name, c.disabled * 1e3, c.armed * 1e3,
-                 c.no_checkpoints * 1e3,
-                 (c.disabled / c.no_checkpoints - 1.0) * 100.0,
-                 i + 1 < ncases ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("\nwrote BENCH_fault.json\n");
-
-  // Acceptance (opt-in, RAPID_CHECK=1): fault-free checkpoint
-  // bookkeeping must stay within 2%% of a checkpoint-free run, with a
-  // small absolute allowance for timer noise on short queries.
-  if (const char* check = std::getenv("RAPID_CHECK");
-      check != nullptr && check[0] == '1') {
-    for (const QueryCase& c : cases) {
-      RAPID_CHECK(c.disabled <= c.no_checkpoints * 1.02 + 500e-6);
-    }
-    std::printf("RAPID_CHECK: checkpoint bookkeeping within 2%% (worst %.2f%%)\n",
-                worst_overhead * 100.0);
-  }
-
-  std::printf(
-      "\nTarget: the disabled column is the production configuration and\n"
-      "must stay within run-to-run noise of a build without fault points\n"
-      "(one relaxed atomic load per site, branch predicted not-taken).\n");
-  return 0;
+  return harness.Finish();
 }

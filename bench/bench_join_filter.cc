@@ -10,18 +10,12 @@
 // results, (ii) cut modeled join time >= 1.3x on the selective join,
 // and (iii) cost <= 2% where nothing can be pruned — the auto gate
 // has to be safe to leave on.
-//
-// Emits BENCH_join_filter.json for the CI trend line.
 
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/rng.h"
 #include "core/join_filter.h"
-#include "storage/loader.h"
 
 namespace {
 
@@ -30,6 +24,7 @@ using namespace rapid::core;
 
 constexpr size_t kFactRows = 200'000;
 constexpr size_t kDimRows = 8192;
+constexpr int kReps = 4;  // modeled gates; wall time is reported only
 
 void LoadTables(RapidEngine& engine) {
   {
@@ -77,37 +72,6 @@ LogicalPtr JoinPlan(bool selective) {
        {"rows", AggFunc::kCount, Expr::Col("id"), {}}});
 }
 
-struct RunResult {
-  int64_t checksum = 0;
-  int64_t rows = 0;
-  double modeled_ms = 0;
-  double dms_cycles = 0;
-  uint64_t filters_built = 0;
-  uint64_t rows_pruned = 0;
-  uint64_t filter_bytes = 0;
-};
-
-RunResult Run(RapidEngine& engine, bool selective, JoinFilterMode mode) {
-  const JoinFilterMode prev = ForceJoinFilter(mode);
-  // Unfused partitioned join: the headline saving is the probe-side
-  // partition DMS round trips the pruned rows no longer pay.
-  ExecOptions options;
-  options.planner.enable_fusion = false;
-  auto result = engine.Execute(JoinPlan(selective), options);
-  ForceJoinFilter(prev);
-  RAPID_CHECK(result.ok());
-  RunResult r;
-  RAPID_CHECK(result.value().rows.num_rows() == 1);
-  r.checksum = result.value().rows.Value(0, 0);
-  r.rows = result.value().rows.Value(0, 1);
-  r.modeled_ms = result.value().stats.modeled_seconds * 1e3;
-  r.dms_cycles = result.value().stats.total_dms_cycles;
-  r.filters_built = result.value().stats.join_filter_built;
-  r.rows_pruned = result.value().stats.rows_pruned_by_join_filter;
-  r.filter_bytes = result.value().stats.filter_bytes;
-  return r;
-}
-
 }  // namespace
 
 int main() {
@@ -115,80 +79,57 @@ int main() {
                 "build-side Bloom filters pruning probe rows before the DMS");
   RapidEngine engine;
   LoadTables(engine);
-
   std::printf("%zu-row fact joins %zu-row dim (sum+count on top);\n"
               "off = plain partitioned join, auto = Bloom pruning in the"
-              " probe scan\n\n",
+              " probe scan\n",
               kFactRows, kDimRows);
-  std::printf("%-13s | %9s | %9s | %7s | %9s | %8s | %8s\n", "join",
-              "off ms", "auto ms", "speedup", "pruned", "filters", "flt KB");
-  std::printf("--------------+-----------+-----------+---------+-----------+"
-              "----------+---------\n");
 
-  bool ok = true;
-  double selective_speedup = 0;
-  double nonselective_speedup = 0;
-  RunResult results[2][2];
-  const char* names[2] = {"selective", "nonselective"};
-  for (int t = 0; t < 2; ++t) {
-    const bool selective = t == 0;
-    const RunResult off = Run(engine, selective, JoinFilterMode::kOff);
-    const RunResult on = Run(engine, selective, JoinFilterMode::kAuto);
-    results[t][0] = off;
-    results[t][1] = on;
-    // Bit-identity is non-negotiable: same row count, same checksum.
-    RAPID_CHECK(off.rows == on.rows);
-    RAPID_CHECK(off.checksum == on.checksum);
-    RAPID_CHECK(off.filters_built == 0 && off.rows_pruned == 0);
-    const double speedup =
-        on.modeled_ms > 0 ? off.modeled_ms / on.modeled_ms : 1.0;
-    (selective ? selective_speedup : nonselective_speedup) = speedup;
-    std::printf("%-13s | %9.3f | %9.3f | %6.2fx | %9llu | %8llu | %8.1f\n",
-                names[t], off.modeled_ms, on.modeled_ms, speedup,
-                static_cast<unsigned long long>(on.rows_pruned),
-                static_cast<unsigned long long>(on.filters_built),
-                on.filter_bytes / 1024.0);
-  }
-
-  // Gates: the selective join must win >= 1.3x modeled and really
-  // prune; the non-selective join (cost gate declines the filter)
-  // must not regress by more than 2%.
-  if (selective_speedup < 1.3) ok = false;
-  if (nonselective_speedup < 0.98) ok = false;
-  if (results[0][1].rows_pruned == 0) ok = false;
-  if (results[0][1].filters_built == 0) ok = false;
-
-  FILE* json = std::fopen("BENCH_join_filter.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"fact_rows\": %zu,\n  \"dim_rows\": %zu,\n",
-                 kFactRows, kDimRows);
-    for (int t = 0; t < 2; ++t) {
-      std::fprintf(
-          json,
-          "  \"%s\": {\"off_modeled_ms\": %.6f, \"auto_modeled_ms\": %.6f,\n"
-          "    \"speedup\": %.4f, \"rows_pruned\": %llu,\n"
-          "    \"filters_built\": %llu, \"filter_bytes\": %llu,\n"
-          "    \"off_dms_cycles\": %.0f, \"auto_dms_cycles\": %.0f},\n",
-          names[t], results[t][0].modeled_ms, results[t][1].modeled_ms,
-          t == 0 ? selective_speedup : nonselective_speedup,
-          static_cast<unsigned long long>(results[t][1].rows_pruned),
-          static_cast<unsigned long long>(results[t][1].filters_built),
-          static_cast<unsigned long long>(results[t][1].filter_bytes),
-          results[t][0].dms_cycles, results[t][1].dms_cycles);
+  bench::Harness harness("join_filter", kReps);
+  auto mode = [](JoinFilterMode m) { return [m] { ForceJoinFilter(m); }; };
+  auto sample = [](QueryResult& r) {
+    bench::Sample s = bench::QuerySample(r);
+    s.metrics.insert(
+        s.metrics.end(),
+        {{"filters_built", static_cast<double>(r.stats.join_filter_built)},
+         {"rows_pruned",
+          static_cast<double>(r.stats.rows_pruned_by_join_filter)},
+         {"filter_bytes", static_cast<double>(r.stats.filter_bytes)}});
+    return s;
+  };
+  for (const bool selective : {true, false}) {
+    const std::string name = selective ? "selective" : "nonselective";
+    auto run = [&engine, selective] {
+      // Unfused partitioned join: the headline saving is the probe-side
+      // partition DMS round trips the pruned rows no longer pay.
+      ExecOptions options;
+      options.planner.enable_fusion = false;
+      return bench::Must(engine.Execute(JoinPlan(selective), options));
+    };
+    const bench::CaseResult& c = harness.Case<QueryResult>(
+        name,
+        {{"off", mode(JoinFilterMode::kOff), run},
+         {"auto", mode(JoinFilterMode::kAuto), run}},
+        sample);
+    const bench::ArmResult& off = c.Get("off");
+    const bench::ArmResult& on = c.Get("auto");
+    const double on_ms = on.Metric("modeled_ms");
+    const double speedup = on_ms > 0 ? off.Metric("modeled_ms") / on_ms : 1.0;
+    const double off_filtering =
+        off.Metric("filters_built") + off.Metric("rows_pruned");
+    harness.Gate(name + ": off builds and prunes nothing", off_filtering, 0,
+                 off_filtering == 0);
+    if (!selective) {
+      // The cost gate declines the filter: auto must cost nothing.
+      harness.Gate(name + ": modeled speedup >= 0.98x", speedup, 0.98,
+                   speedup >= 0.98);
+      continue;
     }
-    std::fprintf(json, "  \"pass\": %s\n}\n", ok ? "true" : "false");
-    std::fclose(json);
-    std::printf("\nwrote BENCH_join_filter.json\n");
+    harness.Gate(name + ": modeled speedup >= 1.3x", speedup, 1.3,
+                 speedup >= 1.3);
+    harness.Gate(name + ": auto prunes rows", on.Metric("rows_pruned"), 0,
+                 on.Metric("rows_pruned") > 0);
+    harness.Gate(name + ": auto builds a filter", on.Metric("filters_built"),
+                 0, on.Metric("filters_built") > 0);
   }
-
-  std::printf("\nGates: bit-identical results; selective >= 1.3x modeled"
-              " (got %.2fx);\nnonselective regression <= 2%% (got %.2fx): %s\n",
-              selective_speedup, nonselective_speedup, ok ? "PASS" : "FAIL");
-  // Acceptance (opt-in, RAPID_CHECK=1): modeled time is deterministic,
-  // so the speedup/regression gates are safe to enforce anywhere.
-  if (const char* check = std::getenv("RAPID_CHECK");
-      check != nullptr && std::string(check) == "1") {
-    RAPID_CHECK(ok);
-  }
-  return ok ? 0 : 1;
+  return harness.Finish();
 }

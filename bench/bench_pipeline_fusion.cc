@@ -7,18 +7,16 @@
 // step-materialized path (every operator materializes a ColumnSet,
 // joins partition both sides). Chains grow from 2 to 4 operators.
 //
-// Reported per chain: plan shape, end-to-end rows/s, modeled time and
-// modeled DMS transfer cycles. The DMS ratio is the fusion win — data
-// movement eliminated by not materializing intermediates and not
-// partitioning — and must not come with a wall-clock regression.
+// Reported per chain: step counts, wall time, modeled time and modeled
+// DMS transfer cycles, with the fused and unfused results identical.
+// The DMS ratio is the fusion win — data movement eliminated by not
+// materializing intermediates and not partitioning — and must not come
+// with a wall-clock regression.
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/rng.h"
-#include "storage/loader.h"
 
 namespace {
 
@@ -28,6 +26,7 @@ using primitives::CmpOp;
 
 constexpr size_t kFactRows = 200'000;
 constexpr size_t kDimRows = 1'000;
+constexpr int kReps = 4;  // modeled gate; wall time is reported only
 
 void LoadData(RapidEngine& engine) {
   Rng rng(42);
@@ -60,28 +59,6 @@ void LoadData(RapidEngine& engine) {
     RAPID_CHECK(engine.Load(storage::LoadTable("dims", specs, data).value())
                     .ok());
   }
-}
-
-struct ChainResult {
-  size_t rows = 0;
-  size_t steps = 0;
-  double wall_ms = 0;
-  double modeled_ms = 0;
-  double dms_cycles = 0;
-};
-
-ChainResult Run(RapidEngine& engine, const LogicalPtr& plan, bool fused) {
-  ExecOptions options;
-  options.planner.enable_fusion = fused;
-  auto result = engine.Execute(plan, options);
-  RAPID_CHECK(result.ok());
-  ChainResult r;
-  r.rows = result.value().rows.num_rows();
-  r.steps = result.value().stats.steps.size();
-  r.wall_ms = result.value().stats.wall_seconds * 1e3;
-  r.modeled_ms = result.value().stats.modeled_seconds * 1e3;
-  r.dms_cycles = result.value().stats.total_dms_cycles;
-  return r;
 }
 
 }  // namespace
@@ -120,36 +97,29 @@ int main() {
            {"d_class", Expr::Col("d_class")}}));
 
   std::printf("facts %zu rows x dims %zu rows; fused = tile pipelines +\n"
-              "broadcast probe, unfused = materialize + partitioned join\n\n",
+              "broadcast probe, unfused = materialize + partitioned join\n",
               kFactRows, kDimRows);
-  std::printf("%-26s | %5s | %5s | %9s | %9s | %8s | %8s | %5s\n", "chain",
-              "steps", "f.stp", "unf ms", "fus ms", "unf DMSc", "fus DMSc",
-              "DMSx");
-  std::printf("---------------------------+-------+-------+-----------+-----"
-              "------+----------+----------+------\n");
-
-  bool ok = true;
+  bench::Harness harness("fusion", kReps);
+  auto sample = [](QueryResult& r) {
+    bench::Sample s = bench::QuerySample(r);
+    s.metrics.emplace_back("steps", r.stats.steps.size());
+    return s;
+  };
   for (const auto& [name, plan] : chains) {
-    const ChainResult unfused = Run(engine, plan, false);
-    const ChainResult fused = Run(engine, plan, true);
-    RAPID_CHECK(fused.rows == unfused.rows);
+    auto run = [&engine, &plan](bool fused) {
+      return [&engine, &plan, fused] {
+        ExecOptions options;
+        options.planner.enable_fusion = fused;
+        return bench::Must(engine.Execute(plan, options));
+      };
+    };
+    const bench::CaseResult& c = harness.Case<QueryResult>(
+        name, {{"unfused", {}, run(false)}, {"fused", {}, run(true)}}, sample);
+    const double fused_dms = c.Get("fused").Metric("dms_cycles");
     const double dms_ratio =
-        fused.dms_cycles > 0 ? unfused.dms_cycles / fused.dms_cycles : 0;
-    const double fused_rows_per_s =
-        static_cast<double>(fused.rows) / (fused.wall_ms / 1e3);
-    std::printf("%-26s | %5zu | %5zu | %9.3f | %9.3f | %7.2fM | %7.2fM |"
-                " %4.1fx\n",
-                name.c_str(), unfused.steps, fused.steps, unfused.modeled_ms,
-                fused.modeled_ms, unfused.dms_cycles / 1e6,
-                fused.dms_cycles / 1e6, dms_ratio);
-    std::printf("%-26s   fused output %.1fM rows/s wall, wall %0.1f ms vs"
-                " %0.1f ms\n",
-                "", fused_rows_per_s / 1e6, fused.wall_ms, unfused.wall_ms);
-    if (dms_ratio < 1.3) ok = false;
+        fused_dms > 0 ? c.Get("unfused").Metric("dms_cycles") / fused_dms : 0;
+    harness.Gate(name + ": modeled DMS cycles unfused/fused >= 1.3x",
+                 dms_ratio, 1.3, dms_ratio >= 1.3);
   }
-
-  std::printf("\nShape check: identical row counts; every fused chain moves\n"
-              ">=1.3x fewer modeled DMS cycles than the step-materialized\n"
-              "plan: %s\n", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  return harness.Finish();
 }

@@ -3,21 +3,19 @@
 // Measures every dispatched kernel family (filter, agg, arith, hash,
 // partition map, bucket indices) with dispatch pinned to scalar and
 // then to the best level the host supports, prints the speedups, and
-// emits BENCH_primitives.json with the raw rows/s so the CostParams::
-// HostCalibrated() multipliers can be re-derived after kernel changes.
-// An end-to-end TPC-H Q6-style scan (wall-clock, not modeled cycles)
+// records both arms' wall times (rows/s = rows / wall) in
+// BENCH_primitives.json so the CostParams::HostCalibrated()
+// multipliers can be re-derived after kernel changes. Each family's
+// arms must leave bit-identical outputs in the last tile. An
+// end-to-end TPC-H Q6-style scan (wall-clock, not modeled cycles)
 // shows how much of the kernel-level win survives a whole query.
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/bitvector.h"
-#include "common/rng.h"
 #include "common/simd.h"
 #include "primitives/agg.h"
 #include "primitives/arith.h"
@@ -31,40 +29,28 @@ namespace {
 
 using namespace rapid;
 
+constexpr int kReps = 10;
 constexpr size_t kTileRows = 4096;
 constexpr size_t kTiles = 2048;  // ~32 MiB of int32 per pass
 
-double SecondsOf(const std::function<void()>& fn) {
-  // One warm-up pass, then the best of three timed passes (the VM's
-  // scheduler jitter makes min more stable than mean).
-  fn();
-  double best = 1e30;
-  for (int pass = 0; pass < 3; ++pass) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
-struct FamilyResult {
-  std::string family;
-  double scalar_rows_per_sec = 0;
-  double simd_rows_per_sec = 0;
-  double speedup() const { return simd_rows_per_sec / scalar_rows_per_sec; }
-};
-
-FamilyResult Measure(const std::string& family, size_t rows_per_run,
-                     const std::function<void()>& fn) {
-  FamilyResult r;
-  r.family = family;
+// Runs `pass` (kTiles tiles; returns a hash of the last tile's output)
+// with dispatch pinned to scalar and to `best`.
+template <typename Pass>
+void Family(bench::Harness& harness, const std::string& family, Pass pass) {
   const SimdLevel best = SimdLevelSupported();
-  ForceSimdLevel(SimdLevel::kScalar);
-  r.scalar_rows_per_sec = static_cast<double>(rows_per_run) / SecondsOf(fn);
-  ForceSimdLevel(best);
-  r.simd_rows_per_sec = static_cast<double>(rows_per_run) / SecondsOf(fn);
-  return r;
+  const bench::CaseResult& c = harness.Case<uint64_t>(
+      family,
+      {{"scalar", [] { ForceSimdLevel(SimdLevel::kScalar); }, pass},
+       {SimdLevelName(best), [best] { ForceSimdLevel(best); }, pass}},
+      [](uint64_t& h) {
+        return bench::Sample{h, {{"rows", kTileRows * kTiles}}};
+      });
+  auto mrows = [](const bench::ArmResult& arm) {
+    return arm.Metric("rows") / (arm.wall_ms.median * 1e3);
+  };
+  std::printf("  %.1f Mrows/s scalar, %.1f Mrows/s %s: %.2fx\n",
+              mrows(c.arms[0]), mrows(c.arms[1]), c.arms[1].name.c_str(),
+              mrows(c.arms[1]) / mrows(c.arms[0]));
 }
 
 }  // namespace
@@ -72,7 +58,8 @@ FamilyResult Measure(const std::string& family, size_t rows_per_run,
 int main() {
   bench::Header("Primitives", "scalar vs SIMD-dispatched kernel throughput");
   const SimdLevel best = SimdLevelSupported();
-  std::printf("best SIMD level on this host: %s\n\n", SimdLevelName(best));
+  std::printf("best SIMD level on this host: %s\n", SimdLevelName(best));
+  bench::Harness harness("primitives", kReps);
 
   Rng rng(7);
   std::vector<int32_t> values(kTileRows);
@@ -85,135 +72,96 @@ int main() {
     values64[i] = static_cast<int64_t>(rng.Next());
     hashes[i] = static_cast<uint32_t>(rng.Next());
   }
-  const size_t total_rows = kTileRows * kTiles;
 
-  std::vector<FamilyResult> results;
-
-  {
+  Family(harness, "filter_bv_i32", [&] {
     BitVector bv;
-    results.push_back(Measure("filter_bv_i32", total_rows, [&] {
-      for (size_t t = 0; t < kTiles; ++t) {
-        primitives::FilterConstBv<primitives::CmpOp::kLt, int32_t>(
-            values.data(), kTileRows, 0, &bv);
-      }
-    }));
-  }
-  {
+    for (size_t t = 0; t < kTiles; ++t) {
+      primitives::FilterConstBv<primitives::CmpOp::kLt, int32_t>(
+          values.data(), kTileRows, 0, &bv);
+    }
+    return bench::HashValues(bv.words(), bv.num_words());
+  });
+  Family(harness, "filter_rid_i32", [&] {
     std::vector<uint32_t> rids;
-    results.push_back(Measure("filter_rid_i32", total_rows, [&] {
-      for (size_t t = 0; t < kTiles; ++t) {
-        rids.clear();
-        primitives::FilterConstRid<primitives::CmpOp::kEq, int32_t>(
-            values.data(), kTileRows, values[17], &rids);
-      }
-    }));
-  }
-  {
+    for (size_t t = 0; t < kTiles; ++t) {
+      rids.clear();
+      primitives::FilterConstRid<primitives::CmpOp::kEq, int32_t>(
+          values.data(), kTileRows, values[17], &rids);
+    }
+    return bench::HashValues(rids.data(), rids.size());
+  });
+  auto agg_hash = [](const primitives::AggState& s) {
+    const int64_t fields[] = {s.sum, s.min, s.max,
+                              static_cast<int64_t>(s.count)};
+    return bench::HashValues(fields, 4);
+  };
+  Family(harness, "agg_sum_i32", [&] {
     primitives::AggState state;
-    results.push_back(Measure("agg_sum_i32", total_rows, [&] {
-      for (size_t t = 0; t < kTiles; ++t) {
-        primitives::AggTile(values.data(), kTileRows, &state);
-      }
-    }));
-  }
-  {
+    for (size_t t = 0; t < kTiles; ++t) {
+      primitives::AggTile(values.data(), kTileRows, &state);
+    }
+    return agg_hash(state);
+  });
+  Family(harness, "agg_sum_i64", [&] {
     primitives::AggState state;
-    results.push_back(Measure("agg_sum_i64", total_rows, [&] {
-      for (size_t t = 0; t < kTiles; ++t) {
-        primitives::AggTile(values64.data(), kTileRows, &state);
-      }
-    }));
-  }
-  {
+    for (size_t t = 0; t < kTiles; ++t) {
+      primitives::AggTile(values64.data(), kTileRows, &state);
+    }
+    return agg_hash(state);
+  });
+  Family(harness, "arith_mul_i32", [&] {
     std::vector<int32_t> out(kTileRows);
-    results.push_back(Measure("arith_mul_i32", total_rows, [&] {
-      for (size_t t = 0; t < kTiles; ++t) {
-        primitives::ArithColCol<primitives::ArithOp::kMul, int32_t>(
-            values.data(), values2.data(), kTileRows, out.data());
-      }
-    }));
-  }
-  {
+    for (size_t t = 0; t < kTiles; ++t) {
+      primitives::ArithColCol<primitives::ArithOp::kMul, int32_t>(
+          values.data(), values2.data(), kTileRows, out.data());
+    }
+    return bench::HashValues(out.data(), out.size());
+  });
+  Family(harness, "hash_crc32_i64", [&] {
     std::vector<uint32_t> out(kTileRows);
-    results.push_back(Measure("hash_crc32_i64", total_rows, [&] {
-      for (size_t t = 0; t < kTiles; ++t) {
-        primitives::HashTile(values64.data(), kTileRows, out.data());
-      }
-    }));
-  }
-  {
+    for (size_t t = 0; t < kTiles; ++t) {
+      primitives::HashTile(values64.data(), kTileRows, out.data());
+    }
+    return bench::HashValues(out.data(), out.size());
+  });
+  Family(harness, "partition_map", [&] {
     std::vector<uint16_t> parts(kTileRows);
     std::vector<uint32_t> counts(64);
-    results.push_back(Measure("partition_map", total_rows, [&] {
-      for (size_t t = 0; t < kTiles; ++t) {
-        const auto& kernels = primitives::simd::partition_kernels();
-        kernels.partition_of(hashes.data(), kTileRows, 0, 63, parts.data());
-        std::fill(counts.begin(), counts.end(), 0u);
-        kernels.histogram(parts.data(), kTileRows, counts.data(), 64);
-      }
-    }));
-  }
-  {
+    for (size_t t = 0; t < kTiles; ++t) {
+      const auto& kernels = primitives::simd::partition_kernels();
+      kernels.partition_of(hashes.data(), kTileRows, 0, 63, parts.data());
+      std::fill(counts.begin(), counts.end(), 0u);
+      kernels.histogram(parts.data(), kTileRows, counts.data(), 64);
+    }
+    return bench::HashValues(counts.data(), counts.size(),
+                             bench::HashValues(parts.data(), parts.size()));
+  });
+  Family(harness, "bucket_indices", [&] {
     std::vector<uint32_t> buckets(kTileRows);
-    results.push_back(Measure("bucket_indices", total_rows, [&] {
-      for (size_t t = 0; t < kTiles; ++t) {
-        primitives::ComputeBucketIndices(hashes.data(), kTileRows, 1024,
-                                         buckets.data());
-      }
-    }));
-  }
-
-  std::printf("%-16s | %14s | %14s | %8s\n", "family", "scalar Mrows/s",
-              "simd Mrows/s", "speedup");
-  std::printf("-----------------+----------------+----------------+---------\n");
-  for (const FamilyResult& r : results) {
-    std::printf("%-16s | %14.1f | %14.1f | %7.2fx\n", r.family.c_str(),
-                r.scalar_rows_per_sec / 1e6, r.simd_rows_per_sec / 1e6,
-                r.speedup());
-  }
+    for (size_t t = 0; t < kTiles; ++t) {
+      primitives::ComputeBucketIndices(hashes.data(), kTileRows, 1024,
+                                       buckets.data());
+    }
+    return bench::HashValues(buckets.data(), buckets.size());
+  });
 
   // ---- End-to-end TPC-H-style query (wall clock) --------------------------
   hostdb::HostDatabase host;
   core::RapidEngine engine;
   const double sf = bench::ScaleFactor();
   RAPID_CHECK_OK(tpch::LoadTpch(sf, &host, &engine));
-  auto q6 = tpch::BuildQuery("Q6");
-  RAPID_CHECK(q6.ok());
-  double e2e_scalar = 0;
-  double e2e_simd = 0;
-  {
-    ForceSimdLevel(SimdLevel::kScalar);
-    e2e_scalar = SecondsOf([&] {
-      RAPID_CHECK(tpch::RunOnRapid(engine, q6.value()).ok());
-    });
-    ForceSimdLevel(best);
-    e2e_simd = SecondsOf([&] {
-      RAPID_CHECK(tpch::RunOnRapid(engine, q6.value()).ok());
-    });
-  }
-  std::printf("\nTPC-H Q6 (SF %.2f) wall clock: scalar %.1f ms, %s %.1f ms "
-              "(%.2fx)\n",
-              sf, e2e_scalar * 1e3, SimdLevelName(best), e2e_simd * 1e3,
-              e2e_scalar / e2e_simd);
-
-  // ---- JSON ---------------------------------------------------------------
-  FILE* json = std::fopen("BENCH_primitives.json", "w");
-  RAPID_CHECK(json != nullptr);
-  std::fprintf(json, "{\n  \"simd_level\": \"%s\",\n  \"families\": [\n",
-               SimdLevelName(best));
-  for (size_t i = 0; i < results.size(); ++i) {
-    const FamilyResult& r = results[i];
-    std::fprintf(json,
-                 "    {\"family\": \"%s\", \"scalar_rows_per_sec\": %.0f, "
-                 "\"simd_rows_per_sec\": %.0f, \"speedup\": %.2f}%s\n",
-                 r.family.c_str(), r.scalar_rows_per_sec, r.simd_rows_per_sec,
-                 r.speedup(), i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(json,
-               "  ],\n  \"tpch_q6\": {\"sf\": %.2f, \"scalar_seconds\": %.4f, "
-               "\"simd_seconds\": %.4f, \"speedup\": %.2f}\n}\n",
-               sf, e2e_scalar, e2e_simd, e2e_scalar / e2e_simd);
-  std::fclose(json);
-  std::printf("wrote BENCH_primitives.json\n");
-  return 0;
+  const tpch::TpchQuery q6 = bench::Must(tpch::BuildQuery("Q6"));
+  auto run = [&] { return bench::Must(tpch::RunOnRapid(engine, q6)); };
+  const bench::CaseResult& e2e = harness.Case<tpch::QueryRun>(
+      "tpch_q6",
+      {{"scalar", [] { ForceSimdLevel(SimdLevel::kScalar); }, run},
+       {SimdLevelName(best), [best] { ForceSimdLevel(best); }, run}},
+      [sf](tpch::QueryRun& r) {
+        return bench::Sample{bench::Fingerprint(r.result),
+                             {{"sf", sf},
+                              {"modeled_ms", r.modeled_dpu_seconds * 1e3}}};
+      });
+  std::printf("  TPC-H Q6 wall clock: %.2fx\n",
+              e2e.arms[0].wall_ms.median / e2e.arms[1].wall_ms.median);
+  return harness.Finish();
 }

@@ -12,11 +12,10 @@
 //
 // Reports the modeled phase makespan (slowest core's compute cycles,
 // summed over morsel phases), the imbalance ratio (max/mean) and steal
-// counts for both modes, asserts the results are bit-identical, and
-// emits BENCH_scheduler.json for the CI trend line.
+// counts for both modes and asserts the results are bit-identical.
 
 #include <cmath>
-#include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -31,6 +30,8 @@ namespace {
 
 using namespace rapid;
 using namespace rapid::core;
+
+constexpr int kReps = 4;  // modeled gate; wall time is reported only
 
 // Capped Zipf morsel weights: rank r carries (r+1)^-theta of the mass,
 // clipped at `cap_rows` (the chunk/partition capacity bound) and
@@ -99,59 +100,19 @@ PartitionedData ZipfPartitions(const std::vector<size_t>& part_rows,
   return data;
 }
 
-struct ModeResult {
-  double makespan_cycles = 0;  // summed per-phase slowest-core cycles
-  double imbalance = 1.0;      // max/mean over the morsel phases
-  uint64_t steals = 0;
-  ColumnSet rows;
-};
-
-bool SameRows(const ColumnSet& a, const ColumnSet& b) {
-  if (a.num_columns() != b.num_columns()) return false;
-  for (size_t c = 0; c < a.num_columns(); ++c) {
-    if (a.column(c) != b.column(c)) return false;
+// Rows in order: the scheduler places each morsel's output by morsel
+// id, so both modes must produce the same sequence, not just the same
+// bag.
+bench::Sample ScheduleSample(const ColumnSet& rows,
+                             const dpu::ImbalanceStats& imb) {
+  uint64_t h = 0;
+  for (size_t c = 0; c < rows.num_columns(); ++c) {
+    h = bench::HashValues(rows.column(c).data(), rows.column(c).size(), h);
   }
-  return true;
-}
-
-ModeResult RunScan(dpu::SchedMode mode, const std::vector<size_t>& chunks) {
-  const dpu::SchedMode prev = dpu::ForceSchedMode(mode);
-  RapidEngine engine{dpu::DpuConfig{}};
-  RAPID_CHECK(engine.Load(ZipfChunkTable(chunks)).ok());
-  auto plan = LogicalNode::Scan(
-      "z", {"k", "v"},
-      {Predicate::CmpConst("v", primitives::CmpOp::kLt, 50)});
-  auto result = engine.Execute(plan);
-  RAPID_CHECK(result.ok());
-  dpu::ForceSchedMode(prev);
-  const dpu::ImbalanceStats& imb = result.value().stats.imbalance;
-  return ModeResult{imb.max_core_cycles, imb.Ratio(), imb.steal_count,
-                    std::move(result.value().rows)};
-}
-
-ModeResult RunJoin(dpu::SchedMode mode, const PartitionedData& build,
-                   const PartitionedData& probe) {
-  const dpu::SchedMode prev = dpu::ForceSchedMode(mode);
-  dpu::Dpu dpu{dpu::DpuConfig{}};
-  JoinSpec spec;
-  spec.build_keys = {0};
-  spec.probe_keys = {0};
-  spec.outputs = {{true, 1}, {false, 1}};
-  spec.large_skew_factor = 1e30;  // measure scheduling, not repartitioning
-  auto result = JoinExec::Execute(dpu, build, probe, spec);
-  RAPID_CHECK(result.ok());
-  dpu::ForceSchedMode(prev);
-  const dpu::ImbalanceStats& imb = dpu.imbalance();
-  return ModeResult{imb.max_core_cycles, imb.Ratio(), imb.steal_count,
-                    std::move(result.value())};
-}
-
-void PrintRow(const char* workload, const ModeResult& st,
-              const ModeResult& mo) {
-  std::printf("%-12s | %13.0f | %13.0f | %7.2fx | %6.2f | %6.2f | %6llu\n",
-              workload, st.makespan_cycles, mo.makespan_cycles,
-              st.makespan_cycles / mo.makespan_cycles, st.imbalance,
-              mo.imbalance, static_cast<unsigned long long>(mo.steals));
+  return {h,
+          {{"makespan_cycles", imb.max_core_cycles},
+           {"imbalance", imb.Ratio()},
+           {"steals", static_cast<double>(imb.steal_count)}}};
 }
 
 }  // namespace
@@ -159,67 +120,76 @@ void PrintRow(const char* workload, const ModeResult& st,
 int main() {
   bench::Header("Scheduler ablation",
                 "Static round-robin vs morsel-driven LPT + stealing");
+  std::printf("32 cores; makespan = summed per-phase slowest-core compute"
+              " cycles\n");
+  bench::Harness harness("scheduler", kReps);
+  const dpu::SchedMode modes[] = {dpu::SchedMode::kStatic,
+                                  dpu::SchedMode::kMorsel};
 
   // 512 chunks, capped Zipf(1.1): the largest chunk is ~one mean core
   // load, so the win comes from balancing, not from splitting one
   // dominant morsel (which no scheduler could).
   const std::vector<size_t> chunk_rows =
       CappedZipfRows(512, 1.1, 48 * 4096, 4096);
-  const ModeResult scan_static = RunScan(dpu::SchedMode::kStatic, chunk_rows);
-  const ModeResult scan_morsel = RunScan(dpu::SchedMode::kMorsel, chunk_rows);
-  RAPID_CHECK(SameRows(scan_static.rows, scan_morsel.rows));
+  const auto scan_plan = LogicalNode::Scan(
+      "z", {"k", "v"},
+      {Predicate::CmpConst("v", primitives::CmpOp::kLt, 50)});
+  std::unique_ptr<RapidEngine> engine;
+  std::vector<bench::Arm<QueryResult>> scan_arms;
+  for (const dpu::SchedMode mode : modes) {
+    scan_arms.push_back(
+        {dpu::SchedModeName(mode),
+         [&engine, &chunk_rows, mode] {
+           dpu::ForceSchedMode(mode);
+           engine = std::make_unique<RapidEngine>(dpu::DpuConfig{});
+           RAPID_CHECK(engine->Load(ZipfChunkTable(chunk_rows)).ok());
+         },
+         [&engine, &scan_plan] {
+           return bench::Must(engine->Execute(scan_plan));
+         }});
+  }
+  const bench::CaseResult& scan = harness.Case<QueryResult>(
+      "zipf scan", scan_arms, [](QueryResult& r) {
+        return ScheduleSample(r.rows, r.stats.imbalance);
+      });
 
   // 256 partition pairs, capped Zipf(1.2) pair sizes; each build key
   // matches exactly two probe rows so pair work stays linear in rows.
   const std::vector<size_t> pair_rows = CappedZipfRows(256, 1.2, 98304, 2048);
   const PartitionedData build = ZipfPartitions(pair_rows, 1);
   const PartitionedData probe = ZipfPartitions(pair_rows, 2);
-  const ModeResult join_static = RunJoin(dpu::SchedMode::kStatic, build, probe);
-  const ModeResult join_morsel = RunJoin(dpu::SchedMode::kMorsel, build, probe);
-  RAPID_CHECK(SameRows(join_static.rows, join_morsel.rows));
-
-  std::printf("32 cores; makespan = summed per-phase slowest-core compute"
-              " cycles\n\n");
-  std::printf("%-12s | %13s | %13s | %8s | %6s | %6s | %6s\n", "workload",
-              "static cycles", "morsel cycles", "speedup", "imb(s)", "imb(m)",
-              "steals");
-  std::printf("-------------+---------------+---------------+----------+"
-              "--------+--------+-------\n");
-  PrintRow("zipf scan", scan_static, scan_morsel);
-  PrintRow("skewed join", join_static, join_morsel);
-
-  const double total_static =
-      scan_static.makespan_cycles + join_static.makespan_cycles;
-  const double total_morsel =
-      scan_morsel.makespan_cycles + join_morsel.makespan_cycles;
-  const double speedup = total_static / total_morsel;
-  std::printf("\ncombined speedup: %.2fx (acceptance floor 1.3x)\n", speedup);
-  RAPID_CHECK(speedup >= 1.3);
-
-  FILE* json = std::fopen("BENCH_scheduler.json", "w");
-  RAPID_CHECK(json != nullptr);
-  std::fprintf(json, "{\n  \"cores\": 32,\n  \"workloads\": [\n");
-  const struct {
-    const char* name;
-    const ModeResult* st;
-    const ModeResult* mo;
-  } rows[] = {{"zipf_scan", &scan_static, &scan_morsel},
-              {"skewed_join", &join_static, &join_morsel}};
-  for (size_t i = 0; i < 2; ++i) {
-    std::fprintf(
-        json,
-        "    {\"name\": \"%s\", \"static_makespan_cycles\": %.0f,\n"
-        "     \"morsel_makespan_cycles\": %.0f, \"speedup\": %.3f,\n"
-        "     \"static_imbalance\": %.3f, \"morsel_imbalance\": %.3f,\n"
-        "     \"morsel_steals\": %llu, \"identical_results\": true}%s\n",
-        rows[i].name, rows[i].st->makespan_cycles, rows[i].mo->makespan_cycles,
-        rows[i].st->makespan_cycles / rows[i].mo->makespan_cycles,
-        rows[i].st->imbalance, rows[i].mo->imbalance,
-        static_cast<unsigned long long>(rows[i].mo->steals),
-        i + 1 < 2 ? "," : "");
+  JoinSpec spec;
+  spec.build_keys = {0};
+  spec.probe_keys = {0};
+  spec.outputs = {{true, 1}, {false, 1}};
+  spec.large_skew_factor = 1e30;  // measure scheduling, not repartitioning
+  std::unique_ptr<dpu::Dpu> join_dpu;
+  std::vector<bench::Arm<ColumnSet>> join_arms;
+  for (const dpu::SchedMode mode : modes) {
+    join_arms.push_back(
+        {dpu::SchedModeName(mode),
+         [&join_dpu, mode] {
+           dpu::ForceSchedMode(mode);
+           join_dpu = std::make_unique<dpu::Dpu>(dpu::DpuConfig{});
+         },
+         [&] {
+           return bench::Must(JoinExec::Execute(*join_dpu, build, probe, spec));
+         }});
   }
-  std::fprintf(json, "  ],\n  \"combined_speedup\": %.3f\n}\n", speedup);
-  std::fclose(json);
-  std::printf("wrote BENCH_scheduler.json\n");
-  return 0;
+  const bench::CaseResult& join = harness.Case<ColumnSet>(
+      "skewed join", join_arms, [&join_dpu](ColumnSet& rows) {
+        return ScheduleSample(rows, join_dpu->imbalance());
+      });
+
+  double makespan[2] = {0, 0};
+  for (int m = 0; m < 2; ++m) {
+    for (const bench::CaseResult* c : {&scan, &join}) {
+      makespan[m] +=
+          c->Get(dpu::SchedModeName(modes[m])).Metric("makespan_cycles");
+    }
+  }
+  const double speedup = makespan[0] / makespan[1];
+  harness.Gate("combined makespan speedup >= 1.3x", speedup, 1.3,
+               speedup >= 1.3);
+  return harness.Finish();
 }

@@ -43,11 +43,6 @@ void Dpu::WorkerLoop(int core_id) {
       });
       if (shutdown_) return;
       seen_generation = job_generation_;
-      if (core_id >= job_limit_) {
-        // Not participating in this round; acknowledge immediately.
-        if (--pending_ == 0) done_cv_.notify_one();
-        continue;
-      }
       job = job_;
     }
     job(*cores_[core_id]);
@@ -58,25 +53,17 @@ void Dpu::WorkerLoop(int core_id) {
   }
 }
 
-void Dpu::ParallelForN(int n, const std::function<void(DpCore&)>& fn) {
-  // Clamp instead of trusting the caller: a task-formation bug asking
-  // for 0 or num_cores+1 cores must not index past the pool.
-  n = std::max(1, std::min(n, config_.num_cores));
+void Dpu::ParallelFor(const std::function<void(DpCore&)>& fn) {
   if (inline_exec_) {
-    for (int c = 0; c < n; ++c) fn(*cores_[c]);
+    for (auto& core : cores_) fn(*core);
     return;
   }
   std::unique_lock<std::mutex> lock(mu_);
   job_ = fn;
-  job_limit_ = n;
   pending_ = config_.num_cores;
   ++job_generation_;
   work_cv_.notify_all();
   done_cv_.wait(lock, [&] { return pending_ == 0; });
-}
-
-void Dpu::ParallelFor(const std::function<void(DpCore&)>& fn) {
-  ParallelForN(config_.num_cores, fn);
 }
 
 Status Dpu::ParallelForMorsels(

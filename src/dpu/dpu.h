@@ -58,10 +58,6 @@ class Dpu {
   // accounting is unaffected.
   void SetInlineExecution(bool inline_exec) { inline_exec_ = inline_exec; }
 
-  // Same, but only on cores [0, n). `n` is clamped to
-  // [1, num_cores]; out-of-range requests never index the pool.
-  void ParallelForN(int n, const std::function<void(DpCore&)>& fn);
-
   // Morsel-driven scheduling round: every core pulls morsels from
   // `queue` until it drains, polling `cancel` (may be null) between
   // morsels so cancellation latency is bounded by one morsel. The
@@ -116,7 +112,6 @@ class Dpu {
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   std::function<void(DpCore&)> job_;
-  int job_limit_ = 0;          // cores [0, job_limit_) participate
   uint64_t job_generation_ = 0;
   int pending_ = 0;
   bool shutdown_ = false;

@@ -438,16 +438,6 @@ TEST(DpuTest, ParallelForRunsEveryCoreOnce) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(DpuTest, ParallelForNLimitsParticipants) {
-  Dpu dpu{DpuConfig{}};
-  std::atomic<int> count{0};
-  dpu.ParallelForN(5, [&](DpCore& core) {
-    EXPECT_LT(core.id(), 5);
-    count.fetch_add(1);
-  });
-  EXPECT_EQ(count.load(), 5);
-}
-
 TEST(DpuTest, MaxEffectiveCyclesTracksSlowestCore) {
   Dpu dpu{DpuConfig{}};
   dpu.ParallelFor([&](DpCore& core) {
