@@ -3,12 +3,11 @@
 #include <algorithm>
 
 #include "common/arena.h"
-#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/trace.h"
+#include "primitives/hash.h"
 #include "primitives/partition_map.h"
-#include "primitives/simd.h"
 
 namespace rapid::core {
 
@@ -86,6 +85,8 @@ RoundLayout LayoutRound(const std::vector<RangeUnit>& units,
   layout.buckets.reserve(sizes.size());
   if (carry_hashes) layout.hashes.resize(sizes.size());
   for (size_t i = 0; i < sizes.size(); ++i) {
+    // SplitRange addresses rows within a new bucket as uint32 slots.
+    RAPID_CHECK(sizes[i] <= UINT32_MAX);
     ColumnSet& bucket = layout.buckets.emplace_back(metas);
     for (size_t c = 0; c < bucket.num_columns(); ++c) {
       bucket.column(c).resize(sizes[i]);
@@ -106,10 +107,11 @@ RoundLayout LayoutRound(const std::vector<RangeUnit>& units,
 // (staging, CRC/CID resolution and the scatter back to DRAM in one
 // pass, cf. Figure 8).
 //
-// The software stage scatters each column directly to its partition
-// via the per-partition write-combining kernel (streaming stores on
-// AVX2); all tile scratch comes from the core's buffer pool, so a
-// warm core never touches the heap.
+// The software stage gives each row its slot in its partition once
+// per tile (slot[i] = cursor[p]++); every column and the carried hash
+// are then one store loop, dst[p][slot[i]] = in[i]. All tile scratch
+// comes from the core's buffer pool, so a warm core never touches the
+// heap.
 Status SplitRange(dpu::DpCore& core, const dpu::CostParams& params,
                   const ColumnSet& bucket, const std::vector<uint32_t>& hashes,
                   size_t begin, size_t end, int fanout, int hw_fanout,
@@ -120,8 +122,6 @@ Status SplitRange(dpu::DpCore& core, const dpu::CostParams& params,
   const int sw_fanout = fanout / hw_fanout;
   const size_t row_bytes = LogicalRowBytes(bucket);
 
-  const primitives::simd::PartitionKernelTable& kernels =
-      primitives::simd::partition_kernels();
   TileBufferPool& pool = core.pool();
   const auto ufanout = static_cast<size_t>(fanout);
   // Fallible acquires: "pool.acquire" faults (allocator pressure on
@@ -130,13 +130,20 @@ Status SplitRange(dpu::DpCore& core, const dpu::CostParams& params,
   // buffer to the pool on any exit — including cancellation mid-round.
   TileBufferPool::Handle pof;
   TileBufferPool::Handle counts;
+  TileBufferPool::Handle slots;
   TileBufferPool::Handle bases;
-  TileBufferPool::Handle wc;
   RAPID_RETURN_NOT_OK(pool.TryAcquireArray<uint16_t>(tile_rows, &pof));
   RAPID_RETURN_NOT_OK(pool.TryAcquireArray<uint32_t>(ufanout, &counts));
-  RAPID_RETURN_NOT_OK(pool.TryAcquireArray<int64_t*>(ufanout, &bases));
-  RAPID_RETURN_NOT_OK(pool.TryAcquire(
-      primitives::simd::ScatterScratchBytes(ufanout), &wc));
+  RAPID_RETURN_NOT_OK(pool.TryAcquireArray<uint32_t>(tile_rows, &slots));
+  RAPID_RETURN_NOT_OK(
+      pool.TryAcquireArray<int64_t*>(num_cols * ufanout, &bases));
+  // Column c of partition p starts at base[c * fanout + p].
+  int64_t** base = bases.as<int64_t*>();
+  for (size_t c = 0; c < num_cols; ++c) {
+    for (size_t p = 0; p < ufanout; ++p) {
+      base[c * ufanout + p] = parts[p].column(c).data();
+    }
+  }
 
   for (size_t start = begin; start < end; start += tile_rows) {
     RAPID_RETURN_NOT_OK(CancelToken::Check(cancel));
@@ -147,26 +154,22 @@ Status SplitRange(dpu::DpCore& core, const dpu::CostParams& params,
                                       shift, pof.as<uint16_t>(),
                                       counts.as<uint32_t>());
     const uint16_t* partition_of = pof.as<uint16_t>();
-    // Scatter every projection column into its partitions through
-    // software write-combining lines; within each partition rows land
-    // in tile order at the unit's cursor.
+    // Within each partition rows land in tile order at the unit's
+    // cursor.
+    uint32_t* slot = slots.as<uint32_t>();
+    for (size_t i = 0; i < rows; ++i) {
+      slot[i] = static_cast<uint32_t>(cursor[partition_of[i]]++);
+    }
     for (size_t c = 0; c < num_cols; ++c) {
       const int64_t* in = bucket.column(c).data() + start;
-      int64_t** dst = bases.as<int64_t*>();
-      for (size_t p = 0; p < ufanout; ++p) {
-        dst[p] = parts[p].column(c).data() + cursor[p];
-      }
-      kernels.scatter_col(in, partition_of, rows, ufanout, dst, wc.data());
+      int64_t* const* dst = base + c * ufanout;
+      for (size_t i = 0; i < rows; ++i) dst[partition_of[i]][slot[i]] = in[i];
     }
     if (part_hashes != nullptr) {
       const uint32_t* h = hashes.data() + start;
       for (size_t i = 0; i < rows; ++i) {
-        const size_t p = partition_of[i];
-        part_hashes[p][cursor[p]++] = h[i];
+        part_hashes[partition_of[i]][slot[i]] = h[i];
       }
-    } else {
-      const uint32_t* tile_counts = counts.as<uint32_t>();
-      for (size_t p = 0; p < ufanout; ++p) cursor[p] += tile_counts[p];
     }
 
     // Cycle charges. One partition-engine pass moves the tile's data
@@ -214,10 +217,7 @@ std::vector<uint32_t> PartitionExec::HashColumn(
   const size_t n = input.num_rows();
   std::vector<uint32_t> hashes(n, 0xFFFFFFFFu);
   for (size_t kc : key_cols) {
-    const int64_t* keys = input.column(kc).data();
-    for (size_t i = 0; i < n; ++i) {
-      hashes[i] = Crc32Combine(hashes[i], static_cast<uint64_t>(keys[i]));
-    }
+    primitives::HashCombineTile(input.column(kc).data(), n, hashes.data());
   }
   return hashes;
 }

@@ -83,11 +83,11 @@ struct CostParams {
   double partition_map_cycles_per_row = 8.0;   // compute_partition_map
   // Legacy gather + sequential-emit column partitioning (Listing 3,
   // kept for the reference path); superseded on the hot path by the
-  // write-combining scatter below.
+  // column scatter below.
   double swpart_gather_cycles_per_row = 7.0;   // per projection column
-  // Per-partition write-combining scatter (streaming stores); the
-  // default matches the old gather charge so Default() stays
-  // numerically identical to the pre-scatter model.
+  // Per-row column scatter into the partitions; the default matches
+  // the old gather charge so Default() stays numerically identical to
+  // the pre-scatter model.
   double swpart_scatter_cycles_per_row = 7.0;  // per projection column
   double swpart_partition_loop_cycles = 40.0;  // per partition per tile
 
@@ -122,7 +122,6 @@ struct CostParams {
     double arith = 1.0;
     double hash = 1.0;
     double partition_map = 1.0;
-    double partition_scatter = 1.0;
     double rle = 1.0;
     double bloom = 1.0;
   };
@@ -246,17 +245,14 @@ inline double HwPartitionCycles(const CostParams& p,
          per_row * static_cast<double>(rows);
 }
 
-// Software partitioning of one tile (Listing 2 + the write-combining
-// column scatter). The partition-map loop (bucket mapping +
-// histogram) and the scatter both divide by their family multiplier;
-// the scatter's comes from the streaming-store path keeping the
-// destination lines out of the cache (QComp's fusion and
-// partition-round gates see the cheaper scatter through this term).
+// Software partitioning of one tile (Listing 2 + the column scatter).
+// The partition-map loop (bucket mapping + histogram) divides by its
+// family multiplier; the scatter is a plain store loop with no vector
+// tier.
 inline double SwPartitionTileCycles(const CostParams& p, size_t rows,
                                     int columns, int fanout) {
   return p.partition_map_cycles_per_row / p.simd.partition_map * rows +
-         p.swpart_scatter_cycles_per_row / p.simd.partition_scatter * rows *
-             columns +
+         p.swpart_scatter_cycles_per_row * rows * columns +
          p.swpart_partition_loop_cycles * fanout;
 }
 

@@ -39,7 +39,7 @@ void ComputePartitionMap(const uint32_t* hashes, size_t n, int fanout,
 
 // Loops 1-2 only, into caller-provided (typically pooled) buffers:
 // partition_of gets n entries, counts gets `fanout` zeroed-then-filled
-// entries. The scatter kernels consume this directly — the RID list
+// entries. The partition scatter consumes this directly — the RID list
 // (Listing 2 loop 4) is not materialized at all on the scatter path.
 void ComputePartitionIndex(const uint32_t* hashes, size_t n, int fanout,
                            int shift, uint16_t* partition_of,

@@ -50,6 +50,15 @@ class Chunk {
   Chunk(Chunk&&) = default;
   Chunk& operator=(Chunk&&) = default;
 
+  // Deep copy of the values (Vector::Clone, DSB scales included); the
+  // copy carries no encodings.
+  Chunk Clone() const {
+    Chunk out;
+    out.columns_.reserve(columns_.size());
+    for (const Vector& v : columns_) out.columns_.push_back(v.Clone());
+    return out;
+  }
+
   size_t num_rows() const { return columns_.empty() ? 0 : columns_[0].size(); }
   size_t num_columns() const { return columns_.size(); }
 
@@ -71,6 +80,8 @@ class Chunk {
   void ClearEncodings() { encodings_.clear(); }
 
  private:
+  Chunk() = default;
+
   std::vector<Vector> columns_;
   std::vector<std::unique_ptr<EncodedColumn>> encodings_;
 };
@@ -83,6 +94,13 @@ class Partition {
   Partition& operator=(Partition&&) = default;
 
   void AddChunk(Chunk chunk) { chunks_.push_back(std::move(chunk)); }
+
+  Partition Clone() const {
+    Partition out;
+    out.chunks_.reserve(chunks_.size());
+    for (const Chunk& c : chunks_) out.chunks_.push_back(c.Clone());
+    return out;
+  }
 
   size_t num_chunks() const { return chunks_.size(); }
   Chunk& chunk(size_t i) { return chunks_[i]; }
@@ -114,6 +132,11 @@ class Table {
   Table(Table&&) = default;
   Table& operator=(Table&&) = default;
 
+  // Deep, independent copy: values, per-vector DSB scales,
+  // dictionaries, stats, SCN and load geometry. Chunk encodings are
+  // not copied; callers rebuild them (BuildTableEncodings).
+  Table Clone() const;
+
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
@@ -139,8 +162,9 @@ class Table {
   ColumnStats& stats(size_t col) { return stats_[col]; }
   const ColumnStats& stats(size_t col) const { return stats_[col]; }
 
-  // Recomputes min/max/ndv for all columns (exact; tables here are
-  // memory resident).
+  // Recomputes min/max/ndv for all columns in one pass per column
+  // (exact; tables here are memory resident). An empty table gets
+  // min = max = ndv = 0.
   void RecomputeStats();
 
   // SCN as of which this table's content is current (Section 3.3).

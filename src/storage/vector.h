@@ -30,7 +30,7 @@ class Vector {
   Vector(const Vector&) = delete;
   Vector& operator=(const Vector&) = delete;
 
-  // Deep copy, for update-unit versioning.
+  // Deep copy, for update-unit versioning and Table::Clone.
   Vector Clone() const {
     Vector out(type_, capacity_);
     out.size_ = size_;

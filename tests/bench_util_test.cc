@@ -103,6 +103,33 @@ TEST(BenchHarnessTest, FailedGateExitsNonzeroAndStillWritesJson) {
   EXPECT_NE(json.find("\"pass\": false\n}"), std::string::npos) << json;
 }
 
+TEST(BenchHarnessTest, WallGateRecordsMarginInIqrUnits) {
+  const std::string path = "BENCH_wall_gate_test.json";
+  std::remove(path.c_str());
+  Harness harness("wall_gate_test", 1);
+  ArmResult arm;
+  arm.name = "a";
+  arm.wall_ms = {10.0, 9.0, 11.0};  // median 10, IQR 2
+  EXPECT_TRUE(harness.WallGate("near", arm, 11.0));
+  EXPECT_FALSE(harness.WallGate("over", arm, 9.0));
+  EXPECT_TRUE(harness.Gate("plain", 1.0, 2.0, true));
+  EXPECT_NE(harness.Finish(), 0);
+
+  const std::string json = ReadFile(path);
+  std::remove(path.c_str());
+  EXPECT_NE(json.find("\"gate\": \"near\", \"value\": 10, \"bound\": 11, "
+                      "\"margin_iqr\": 0.5, \"pass\": true"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"margin_iqr\": -0.5, \"pass\": false"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"gate\": \"plain\", \"value\": 1, \"bound\": 2, "
+                      "\"pass\": true"),
+            std::string::npos)
+      << json;
+}
+
 TEST(BenchHarnessTest, FingerprintIgnoresRowOrderButNotValuesOrNames) {
   std::vector<core::ColumnMeta> metas(2);
   metas[0].name = "k";

@@ -12,6 +12,7 @@
 #include "hostdb/database.h"
 #include "hostdb/journal.h"
 #include "hostdb/offload.h"
+#include "storage/encoding_stack.h"
 #include "tests/test_util.h"
 
 namespace rapid::hostdb {
@@ -232,6 +233,50 @@ TEST_F(HostDbTest, LoadToRapidReflectsPriorUpdates) {
   ASSERT_OK(host_.LoadToRapid("t", &engine2));
   const storage::Table* t = engine2.GetTable("t");
   EXPECT_EQ(t->partition(0).chunk(0).column(1).GetInt(3), 42);
+}
+
+TEST_F(HostDbTest, LoadToRapidCopyMatchesHostRowsAndFreshStats) {
+  // New extremes and a repeated value: the host's load-time stats go
+  // stale, the RAPID copy's must not.
+  ASSERT_OK(host_.Update("t", {storage::RowChange{0, {0, -7}},
+                               storage::RowChange{4321, {4321, 1000}}}));
+  ASSERT_OK(host_.Update("t", {storage::RowChange{17, {17, 1000}}}));
+  core::RapidEngine engine2;
+  ASSERT_OK(host_.LoadToRapid("t", &engine2));
+  const storage::Table* h = host_.GetTable("t");
+  const storage::Table* r = engine2.GetTable("t");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->scn(), host_.journal().current_scn());
+  EXPECT_EQ(r->rows_per_chunk(), h->rows_per_chunk());
+  ASSERT_EQ(r->num_partitions(), h->num_partitions());
+  for (size_t p = 0; p < h->num_partitions(); ++p) {
+    ASSERT_EQ(r->partition(p).num_chunks(), h->partition(p).num_chunks());
+    for (size_t c = 0; c < h->partition(p).num_chunks(); ++c) {
+      const storage::Chunk& hc = h->partition(p).chunk(c);
+      const storage::Chunk& rc = r->partition(p).chunk(c);
+      ASSERT_EQ(rc.num_rows(), hc.num_rows());
+      for (size_t col = 0; col < hc.num_columns(); ++col) {
+        for (size_t row = 0; row < hc.num_rows(); ++row) {
+          ASSERT_EQ(rc.column(col).GetInt(row), hc.column(col).GetInt(row));
+        }
+      }
+    }
+  }
+  // Stats and encodings as a fresh pass over the host's rows gives.
+  storage::Table expected = h->Clone();
+  expected.RecomputeStats();
+  (void)storage::BuildTableEncodings(&expected);
+  for (size_t col = 0; col < h->schema().num_fields(); ++col) {
+    EXPECT_EQ(r->stats(col).min, expected.stats(col).min);
+    EXPECT_EQ(r->stats(col).max, expected.stats(col).max);
+    EXPECT_EQ(r->stats(col).ndv, expected.stats(col).ndv);
+    EXPECT_EQ(r->stats(col).dsb_scale, expected.stats(col).dsb_scale);
+    EXPECT_EQ(r->stats(col).compression_ratio,
+              expected.stats(col).compression_ratio);
+  }
+  EXPECT_EQ(r->stats(1).min, -7);
+  EXPECT_EQ(r->stats(1).max, 1000);
+  EXPECT_EQ(r->stats(1).ndv, 12u);  // 0..9 plus -7 and 1000
 }
 
 TEST_F(HostDbTest, DictionariesEncodeIdenticallyAcrossEngines) {

@@ -3,6 +3,9 @@
 // SCN-versioned update tracking.
 
 #include <cmath>
+#include <cstdint>
+#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -340,6 +343,138 @@ TEST(LoaderTest, ApplyRowChangeHitsRightSlot) {
   EXPECT_FALSE(ApplyRowChange(&table, 100000, {0, 0, 0, 0}).ok());
   // Wrong arity rejected.
   EXPECT_FALSE(ApplyRowChange(&table, 1, {0}).ok());
+}
+
+// ---- Table clone / statistics ----------------------------------------------
+
+// Checks every column's min/max/ndv against a std::set over its values.
+void ExpectStatsMatchReference(const Table& table) {
+  for (size_t col = 0; col < table.schema().num_fields(); ++col) {
+    std::set<int64_t> distinct;
+    for (size_t p = 0; p < table.num_partitions(); ++p) {
+      for (size_t c = 0; c < table.partition(p).num_chunks(); ++c) {
+        const Vector& v = table.partition(p).chunk(c).column(col);
+        for (size_t r = 0; r < v.size(); ++r) distinct.insert(v.GetInt(r));
+      }
+    }
+    const ColumnStats& st = table.stats(col);
+    EXPECT_EQ(st.ndv, distinct.size()) << "column " << col;
+    EXPECT_EQ(st.min, distinct.empty() ? 0 : *distinct.begin()) << col;
+    EXPECT_EQ(st.max, distinct.empty() ? 0 : *distinct.rbegin()) << col;
+  }
+}
+
+Table LoadInts(const std::vector<ColumnSpec>& specs,
+               const std::vector<std::vector<int64_t>>& columns) {
+  std::vector<ColumnData> data(columns.size());
+  for (size_t c = 0; c < columns.size(); ++c) data[c].ints = columns[c];
+  LoadOptions opts;
+  opts.rows_per_chunk = 16;
+  opts.num_partitions = 3;
+  return LoadTable("t", specs, data, opts).value();
+}
+
+TEST(TableTest, RecomputeStatsMatchesSetReference) {
+  const std::vector<ColumnSpec> wide = {{"a", ColumnKind::kInt64}};
+  const std::vector<ColumnSpec> narrow = {{"a", ColumnKind::kInt8},
+                                          {"b", ColumnKind::kInt32}};
+  // Empty table, single row, all-equal values, and the values an
+  // empty-slot sentinel would collide with.
+  std::vector<Table> tables;
+  tables.push_back(LoadInts(wide, {{}}));
+  tables.push_back(LoadInts(wide, {{INT64_MIN}}));
+  tables.push_back(LoadInts(wide, {{0}}));
+  tables.push_back(LoadInts(wide, {std::vector<int64_t>(100, 7)}));
+  tables.push_back(LoadInts(wide, {std::vector<int64_t>(100, 0)}));
+  tables.push_back(LoadInts(
+      wide, {{0, INT64_MIN, INT64_MAX, -1, 0, INT64_MIN, 1, INT64_MAX, -1}}));
+  tables.push_back(LoadInts(narrow, {{-128, 127, 0, -1, -128}, {-5, 0, 0, 3, 9}}));
+  // Many distinct values with duplicates: the set grows several times.
+  Rng rng(7);
+  std::vector<int64_t> negative;
+  std::vector<int64_t> mixed;
+  for (int i = 0; i < 20000; ++i) {
+    negative.push_back(-static_cast<int64_t>(rng.NextBounded(5000)) - 1);
+    mixed.push_back(static_cast<int64_t>(rng.Next()));
+  }
+  mixed[123] = 0;
+  mixed[456] = INT64_MIN;
+  tables.push_back(LoadInts({{"n", ColumnKind::kInt64},
+                             {"m", ColumnKind::kInt64}},
+                            {negative, mixed}));
+  for (Table& table : tables) {
+    table.RecomputeStats();
+    ExpectStatsMatchReference(table);
+  }
+}
+
+TEST(TableTest, RecomputeStatsRefreshesAfterRowChanges) {
+  Table table = LoadInts({{"a", ColumnKind::kInt64}, {"b", ColumnKind::kInt32}},
+                         {{1, 2, 3, 4, 5}, {10, 10, 10, 10, 10}});
+  ASSERT_OK(ApplyRowChange(&table, 2, {INT64_MIN, 0}));
+  ASSERT_OK(ApplyRowChange(&table, 4, {INT64_MAX, -3}));
+  table.RecomputeStats();
+  ExpectStatsMatchReference(table);
+  EXPECT_EQ(table.stats(0).min, INT64_MIN);
+  EXPECT_EQ(table.stats(1).ndv, 3u);
+}
+
+TEST(TableTest, CloneIsDeepIndependentAndUnencoded) {
+  auto [specs, data] = SampleTable();
+  specs.push_back({"flag", ColumnKind::kInt8});
+  data.push_back({});
+  data.back().ints.assign(100, 1);  // one long run: RLE-encoded
+  LoadOptions opts;
+  opts.rows_per_chunk = 16;
+  opts.num_partitions = 2;
+  opts.scn = 9;
+  ASSERT_OK_AND_ASSIGN(Table table, LoadTable("t", specs, data, opts));
+  ASSERT_NE(table.partition(0).chunk(0).encoding(4), nullptr);
+
+  Table copy = table.Clone();
+  EXPECT_EQ(copy.name(), "t");
+  EXPECT_EQ(copy.scn(), 9u);
+  EXPECT_EQ(copy.rows_per_chunk(), 16u);
+  ASSERT_EQ(copy.num_partitions(), 2u);
+  for (size_t p = 0; p < 2; ++p) {
+    ASSERT_EQ(copy.partition(p).num_chunks(), table.partition(p).num_chunks());
+    for (size_t c = 0; c < copy.partition(p).num_chunks(); ++c) {
+      const Chunk& src = table.partition(p).chunk(c);
+      const Chunk& dst = copy.partition(p).chunk(c);
+      ASSERT_EQ(dst.num_rows(), src.num_rows());
+      for (size_t col = 0; col < src.num_columns(); ++col) {
+        EXPECT_EQ(dst.column(col).type(), src.column(col).type());
+        EXPECT_EQ(dst.column(col).capacity(), src.column(col).capacity());
+        EXPECT_EQ(dst.column(col).dsb_scale(), src.column(col).dsb_scale());
+        EXPECT_NE(dst.column(col).raw(), src.column(col).raw());
+        for (size_t r = 0; r < src.num_rows(); ++r) {
+          EXPECT_EQ(dst.column(col).GetInt(r), src.column(col).GetInt(r));
+        }
+        EXPECT_EQ(dst.encoding(col), nullptr);
+      }
+    }
+  }
+  EXPECT_EQ(copy.partition(0).chunk(0).column(1).dsb_scale(), 2);
+  for (size_t col = 0; col < specs.size(); ++col) {
+    EXPECT_EQ(copy.stats(col).min, table.stats(col).min);
+    EXPECT_EQ(copy.stats(col).max, table.stats(col).max);
+    EXPECT_EQ(copy.stats(col).ndv, table.stats(col).ndv);
+    EXPECT_EQ(copy.stats(col).dsb_scale, table.stats(col).dsb_scale);
+    EXPECT_EQ(copy.stats(col).compression_ratio,
+              table.stats(col).compression_ratio);
+  }
+  ASSERT_NE(copy.dictionary(2), nullptr);
+  EXPECT_NE(copy.dictionary(2), table.dictionary(2));
+  EXPECT_EQ(copy.dictionary(2)->Lookup("zurich").value(), 1u);
+  EXPECT_EQ(copy.dictionary(0), nullptr);
+
+  // Writes to the copy leave the original alone.
+  copy.dictionary(2)->GetOrInsert("geneva");
+  EXPECT_EQ(table.dictionary(2)->size(), 3u);
+  ASSERT_OK(ApplyRowChange(&copy, 0, {-1, 0, 0, 0, 0}));
+  copy.stats(0).min = -1;
+  EXPECT_EQ(table.partition(0).chunk(0).column(0).GetInt(0), 0);
+  EXPECT_EQ(table.stats(0).min, 0);
 }
 
 // ---- Tracker ---------------------------------------------------------------
