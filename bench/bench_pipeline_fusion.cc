@@ -5,7 +5,10 @@
 // project/broadcast-probe collapsed into one ParallelFor round, tiles
 // staying DMEM-resident across the whole chain) and once with the
 // step-materialized path (every operator materializes a ColumnSet,
-// joins partition both sides). Chains grow from 2 to 4 operators.
+// joins partition both sides). Chains grow from 2 to 4 operators. A
+// fourth case runs Figure 4's aggregation example: fused, it is
+// formation (c) — scan, filter and a low-NDV aggregate in one task,
+// only the aggregate written out; unfused, formation (a).
 //
 // Reported per chain: step counts, wall time, modeled time and modeled
 // DMS transfer cycles, with the fused and unfused results identical.
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "storage/dsb.h"
 
 namespace {
 
@@ -95,9 +99,26 @@ int main() {
                             {"d_class", "f_price", "f_qty"}),
           {{"gross", Expr::Mul(Expr::Col("f_price"), Expr::Col("f_qty"))},
            {"d_class", Expr::Col("d_class")}}));
+  // Figure 4: SELECT sum(l_quantity * 0.5), min(l_quantity) FROM
+  // lineitem WHERE l_extendedprice > 100, over the fact table.
+  const storage::Table* fact_table = engine.GetTable("facts");
+  const size_t price_col = fact_table->schema().IndexOf("f_price").value();
+  const int64_t hundred =
+      100 * storage::Pow10(fact_table->stats(price_col).dsb_scale);
+  chains.emplace_back(
+      "figure4:scan>filter>agg",
+      LogicalNode::GroupBy(
+          LogicalNode::Scan("facts", {"f_qty"},
+                            {Predicate::CmpConst("f_price", CmpOp::kGt,
+                                                 hundred)}),
+          {},
+          {{"sum_half_qty", AggFunc::kSum,
+            Expr::Mul(Expr::Col("f_qty"), Expr::Dec(0.5, 1)), {}},
+           {"min_qty", AggFunc::kMin, Expr::Col("f_qty"), {}}}));
 
   std::printf("facts %zu rows x dims %zu rows; fused = tile pipelines +\n"
-              "broadcast probe, unfused = materialize + partitioned join\n",
+              "broadcast probe (+ terminal aggregate), unfused = materialize\n"
+              "+ partitioned join (+ separate group-by step)\n",
               kFactRows, kDimRows);
   bench::Harness harness("fusion", kReps);
   auto sample = [](QueryResult& r) {

@@ -223,17 +223,11 @@ Result<QueryResult> RapidEngine::Execute(const LogicalPtr& plan,
         }
       }
       if (have_input || frag.out.parts.partitions.empty()) continue;
-      ColumnSet flat(frag.out.parts.partitions.front().metas());
-      for (const ColumnSet& part : frag.out.parts.partitions) {
-        for (size_t col = 0; col < flat.num_columns(); ++col) {
-          if (part.num_rows() > 0) flat.meta(col) = part.meta(col);
-        }
-      }
-      for (const ColumnSet& part : frag.out.parts.partitions) {
-        flat.Append(part);
-      }
-      fallback->partials.push_back(
-          PartialResult{input_path, std::move(flat)});
+      std::vector<ColumnMeta> metas =
+          frag.out.parts.partitions.front().metas();
+      fallback->partials.push_back(PartialResult{
+          input_path, ColumnSet::Concat(std::move(metas),
+                                        std::move(frag.out.parts.partitions))});
     }
   }
   return result;

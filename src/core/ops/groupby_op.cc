@@ -1,5 +1,7 @@
 #include "core/ops/groupby_op.h"
 
+#include <algorithm>
+
 #include "common/crc32.h"
 #include "common/logging.h"
 
@@ -51,31 +53,13 @@ size_t GroupHashTable::GroupFor(const int64_t* keys, uint64_t* chain_steps) {
   return group;
 }
 
-void GroupHashTable::MergeFrom(const GroupHashTable& other,
-                               const std::vector<AggFunc>& funcs) {
-  std::vector<int64_t> key_row(num_keys_);
-  for (size_t g = 0; g < other.num_groups(); ++g) {
-    for (size_t k = 0; k < num_keys_; ++k) key_row[k] = other.key(g, k);
-    const size_t mine = GroupFor(key_row.data());
-    for (size_t a = 0; a < states_.size(); ++a) {
-      const primitives::AggState& theirs = other.state(g, a);
-      primitives::AggState& st = states_[a][mine];
-      switch (funcs[a]) {
-        case AggFunc::kSum:
-          st.sum += theirs.sum;
-          break;
-        case AggFunc::kMin:
-          if (theirs.min < st.min) st.min = theirs.min;
-          break;
-        case AggFunc::kMax:
-          if (theirs.max > st.max) st.max = theirs.max;
-          break;
-        case AggFunc::kCount:
-          st.count += theirs.count;
-          break;
-      }
-    }
-  }
+void GroupHashTable::Clear() {
+  num_groups_ = 0;
+  for (auto& k : keys_) k.clear();
+  for (auto& st : states_) st.clear();
+  heads_.assign(64, -1);
+  next_.clear();
+  hashes_.clear();
 }
 
 size_t GroupHashTable::ByteSize() const {
@@ -103,13 +87,17 @@ size_t GroupByOp::DmemBytes(size_t tile_rows) const {
 }
 
 Status GroupByOp::Open(ExecCtx&) {
-  key_scratch_.assign(keys_.size(), {});
-  agg_scratch_.assign(aggs_.size(), {});
+  key_scratch_.resize(keys_.size());
+  agg_scratch_.resize(aggs_.size());
+  agg_filters_.resize(aggs_.size());
+  key_row_.resize(keys_.size());
   return Status::OK();
 }
 
 Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
   const size_t n = tile.rows;
+  if (n == 0) return Status::OK();
+  rows_ += n;
   for (size_t k = 0; k < keys_.size(); ++k) {
     RAPID_ASSIGN_OR_RETURN(
         key_scales_[k],
@@ -124,21 +112,19 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
   }
 
   // Evaluate aggregate FILTER clauses vectorized, once per tile.
-  std::vector<BitVector> agg_filters(aggs_.size());
   for (size_t a = 0; a < aggs_.size(); ++a) {
     if (aggs_[a].filter != nullptr) {
       RAPID_RETURN_NOT_OK(EvalPredicate(ctx, tile, binding_,
-                                        *aggs_[a].filter, &agg_filters[a]));
+                                        *aggs_[a].filter, &agg_filters_[a]));
     }
   }
 
   uint64_t chain_steps = 0;
-  std::vector<int64_t> key_row(keys_.size());
   for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < keys_.size(); ++k) key_row[k] = key_scratch_[k][i];
-    const size_t group = table_.GroupFor(key_row.data(), &chain_steps);
+    for (size_t k = 0; k < keys_.size(); ++k) key_row_[k] = key_scratch_[k][i];
+    const size_t group = table_.GroupFor(key_row_.data(), &chain_steps);
     for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (aggs_[a].filter != nullptr && !agg_filters[a].Test(i)) continue;
+      if (aggs_[a].filter != nullptr && !agg_filters_[a].Test(i)) continue;
       switch (aggs_[a].func) {
         case AggFunc::kSum:
           table_.UpdateSum(group, a, agg_scratch_[a][i]);
@@ -169,11 +155,42 @@ Status GroupByOp::Consume(ExecCtx& ctx, const Tile& tile) {
 
 Status GroupByOp::Finish(ExecCtx&) { return Status::OK(); }
 
-const std::vector<AggFunc> GroupByOp::funcs() const {
-  std::vector<AggFunc> out;
-  out.reserve(aggs_.size());
-  for (const AggSpec& a : aggs_) out.push_back(a.func);
-  return out;
+PartialAggregate GroupByOp::TakePartial() {
+  PartialAggregate partial;
+  partial.num_groups = table_.num_groups();
+  partial.keys.reserve(partial.num_groups * keys_.size());
+  partial.states.reserve(partial.num_groups * aggs_.size());
+  for (size_t g = 0; g < partial.num_groups; ++g) {
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      partial.keys.push_back(table_.key(g, k));
+    }
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      partial.states.push_back(table_.state(g, a));
+    }
+  }
+  partial.key_scales = key_scales_;
+  partial.agg_scales = agg_scales_;
+  partial.rows = rows_;
+  table_.Clear();
+  std::fill(key_scales_.begin(), key_scales_.end(), 0);
+  std::fill(agg_scales_.begin(), agg_scales_.end(), 0);
+  rows_ = 0;
+  return partial;
+}
+
+void GroupByOp::MergeFrom(const PartialAggregate& partial) {
+  if (rows_ == 0) {
+    key_scales_ = partial.key_scales;
+    agg_scales_ = partial.agg_scales;
+  }
+  rows_ += partial.rows;
+  for (size_t g = 0; g < partial.num_groups; ++g) {
+    const size_t mine =
+        table_.GroupFor(partial.keys.data() + g * keys_.size());
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      table_.MergeState(mine, a, partial.states[g * aggs_.size() + a]);
+    }
+  }
 }
 
 Status GroupByOp::EmitInto(ColumnSet* out) const {

@@ -5,9 +5,12 @@
 //  * High NDV: a partitioning phase distributes distinct groups across
 //    dpCores so each core's hash table fits in DMEM; this operator
 //    then runs per partition with disjoint key sets (no merge needed).
-//  * Low NDV: the operator runs on-the-fly over each core's share of
-//    the input, and a *merge operator* combines the small per-core
-//    tables afterwards (merge works on aggregated data, low overhead).
+//  * Low NDV: the operator runs on-the-fly over each morsel of the
+//    input — as the terminal stage of the fused scan pipeline that
+//    produces it (Figure 4c), or over a materialized input — and
+//    leaves one PartialAggregate per morsel; a *merge operator* folds
+//    the small partials afterwards (merge works on aggregated data,
+//    low overhead).
 //
 // Both strategies use this operator; the strategy decides what input
 // each core sees and whether MergeFrom runs afterwards.
@@ -61,6 +64,9 @@ class GroupHashTable {
     if (value > st.max) st.max = value;
   }
   void UpdateCount(size_t group, size_t agg) { ++states_[agg][group].count; }
+  void MergeState(size_t group, size_t agg, const primitives::AggState& st) {
+    states_[agg][group].Merge(st);
+  }
 
   size_t num_groups() const { return num_groups_; }
   int64_t key(size_t group, size_t k) const { return keys_[k][group]; }
@@ -68,9 +74,9 @@ class GroupHashTable {
     return states_[agg][group];
   }
 
-  // Merge operator (low-NDV strategy): folds `other` into this table.
-  void MergeFrom(const GroupHashTable& other,
-                 const std::vector<AggFunc>& funcs);
+  // Drops every group and returns to the initial bucket count, so the
+  // next input walks the same collision chains a new table would.
+  void Clear();
 
   // Approximate DMEM footprint (keys + states + buckets).
   size_t ByteSize() const;
@@ -90,6 +96,19 @@ class GroupHashTable {
   std::vector<uint32_t> hashes_;  // per group, for cheap rehashing
 };
 
+// The groups one morsel aggregated (low-NDV strategy), in
+// first-appearance order: keys and aggregate states flattened group by
+// group, the DSB scales observed and the input rows consumed. A morsel
+// that saw no rows holds no groups and scale 0.
+struct PartialAggregate {
+  size_t num_groups = 0;
+  std::vector<int64_t> keys;                 // [group * num_keys + k]
+  std::vector<primitives::AggState> states;  // [group * num_aggs + a]
+  std::vector<int> key_scales;
+  std::vector<int> agg_scales;
+  uint64_t rows = 0;
+};
+
 class GroupByOp : public PipelineOp {
  public:
   GroupByOp(std::vector<ExprPtr> keys, std::vector<AggSpec> aggs,
@@ -100,12 +119,19 @@ class GroupByOp : public PipelineOp {
   Status Consume(ExecCtx& ctx, const Tile& tile) override;
   Status Finish(ExecCtx& ctx) override;
 
-  GroupHashTable& table() { return table_; }
-  const std::vector<AggFunc> funcs() const;
-  // DSB scales of key columns / aggregate results observed during
-  // execution (needed to decode the output).
-  const std::vector<int>& key_scales() const { return key_scales_; }
-  const std::vector<int>& agg_scales() const { return agg_scales_; }
+  // Input rows aggregated so far (the aggregate's workload volume).
+  uint64_t rows() const { return rows_; }
+
+  // Moves everything aggregated since the last call out as a partial
+  // and starts over empty, so one operator serves every morsel a core
+  // runs (low-NDV strategy).
+  PartialAggregate TakePartial();
+
+  // Merge operator (low-NDV strategy): folds `partial`'s groups into
+  // this operator's table, appending groups it has not seen in the
+  // partial's order. While this operator has seen no rows it adopts
+  // the partial's DSB scales (those of the rows it aggregated).
+  void MergeFrom(const PartialAggregate& partial);
 
   // Emits groups + aggregates into `out` (columns: keys then aggs).
   Status EmitInto(ColumnSet* out) const;
@@ -117,8 +143,12 @@ class GroupByOp : public PipelineOp {
   GroupHashTable table_;
   std::vector<int> key_scales_;
   std::vector<int> agg_scales_;
+  uint64_t rows_ = 0;
+  // Per-tile evaluation buffers, kept across tiles and morsels.
   std::vector<std::vector<int64_t>> key_scratch_;
   std::vector<std::vector<int64_t>> agg_scratch_;
+  std::vector<BitVector> agg_filters_;
+  std::vector<int64_t> key_row_;
 };
 
 }  // namespace rapid::core

@@ -561,10 +561,11 @@ Result<ColumnSet> JoinExec::Execute(dpu::Dpu& dpu, const PartitionedData& build,
                         kMaxOverflowRecoveries, &results[pair]);
       }));
 
-  ColumnSet merged(metas);
+  std::vector<ColumnSet> outputs;
+  outputs.reserve(results.size());
   JoinStats total;
   for (PairResult& r : results) {
-    merged.Append(r.output);
+    outputs.push_back(std::move(r.output));
     total.build_rows += r.stats.build_rows;
     total.probe_rows += r.stats.probe_rows;
     total.matches += r.stats.matches;
@@ -578,7 +579,7 @@ Result<ColumnSet> JoinExec::Execute(dpu::Dpu& dpu, const PartitionedData& build,
     total.Add(r.stats);
   }
   if (stats != nullptr) *stats = total;
-  return merged;
+  return ColumnSet::Concat(metas, std::move(outputs));
 }
 
 }  // namespace rapid::core

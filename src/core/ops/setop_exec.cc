@@ -106,9 +106,7 @@ Result<ColumnSet> SetOpExec::Execute(dpu::Dpu& dpu, SetOpKind kind,
         return Status::OK();
       }));
 
-  ColumnSet merged(left.metas());
-  for (const ColumnSet& cs : per_part) merged.Append(cs);
-  return merged;
+  return ColumnSet::Concat(left.metas(), std::move(per_part));
 }
 
 }  // namespace rapid::core

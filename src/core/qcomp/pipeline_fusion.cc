@@ -8,6 +8,7 @@
 
 #include "common/trace.h"
 #include "core/qcomp/task_formation.h"
+#include "primitives/agg.h"
 #include "primitives/bloom.h"
 #include "storage/encoding_stack.h"
 
@@ -44,6 +45,11 @@ struct Desc {
   bool use_rid_list = false;
   size_t fused_steps = 1;  // original steps absorbed into this chain
   int original = -1;       // old id of the sole step when fused_steps == 1
+
+  // No stage may follow an aggregate: its output is the merged table.
+  bool closed() const {
+    return stages.back().kind == PipelineStageSpec::Kind::kAggregate;
+  }
 };
 
 class Fuser {
@@ -63,6 +69,7 @@ class Fuser {
 
  private:
   Result<int> Materialize(int old_id);
+  bool Absorb(int id, int input, PipelineStageSpec stage, size_t tile_rows);
   Status HandleJoin(int id, JoinStep* join);
   bool ChainFitsDmem(const Desc& desc, const PipelineStageSpec* extra) const;
 
@@ -144,6 +151,23 @@ bool Fuser::ChainFitsDmem(const Desc& desc,
           {"project", 64, 8 * std::max<size_t>(1, stage.projections.size()),
            1.0, 8 * std::max<size_t>(1, stage.projections.size()),
            arith_rate});
+    } else if (stage.kind == PipelineStageSpec::Kind::kAggregate) {
+      // The hash table (keys, aggregate states and chain links per
+      // estimated group; a global aggregate has one group) stays
+      // resident beside the tiles, which stage the evaluated keys and
+      // aggregate inputs. Only the merged table leaves the chain.
+      const size_t keys = stage.group_keys.size();
+      const size_t aggs = stage.aggs.size();
+      const size_t groups =
+          keys == 0 ? 1 : std::max<size_t>(1, stage.est_groups);
+      const size_t group_bytes =
+          8 * keys + sizeof(primitives::AggState) * aggs + 12;
+      const size_t width = 8 * std::max<size_t>(1, keys + aggs);
+      profiles.push_back(
+          {"groupby", 64 + groups * group_bytes, width, 0.0, width,
+           params_.groupby_cycles_per_row +
+               params_.agg_cycles_per_row / params_.simd.agg *
+                   static_cast<double>(aggs)});
     } else {
       // Broadcast table: ~6 bytes/build row covers bucket heads plus
       // chain links at the capacities the gate admits.
@@ -157,6 +181,25 @@ bool Fuser::ChainFitsDmem(const Desc& desc,
   if (extra != nullptr) add_stage(*extra);
 
   return MaxTileRows(profiles, 0, profiles.size() - 1, config_.dmem_bytes).ok();
+}
+
+// Appends `stage` to the pending chain producing `input` and re-keys
+// the chain by `id`, when that chain has no other consumer, is not
+// closed by an aggregate and still fits DMEM with the stage.
+bool Fuser::Absorb(int id, int input, PipelineStageSpec stage,
+                   size_t tile_rows) {
+  auto pit = pending_.find(input);
+  if (pit == pending_.end() || consumers_[static_cast<size_t>(input)] != 1 ||
+      pit->second.closed() || !ChainFitsDmem(pit->second, &stage)) {
+    return false;
+  }
+  Desc desc = std::move(pit->second);
+  pending_.erase(pit);
+  desc.stages.push_back(std::move(stage));
+  desc.tile_rows = std::min(desc.tile_rows, tile_rows);
+  ++desc.fused_steps;
+  pending_.emplace(id, std::move(desc));
+  return true;
 }
 
 Result<int> Fuser::Materialize(int old_id) {
@@ -258,6 +301,7 @@ Status Fuser::HandleJoin(int id, JoinStep* join) {
     const size_t saved_rows = 3 * spec.est_build_rows + 2 * spec.est_probe_rows;
     fuse = pending_.count(probe_src) > 0 &&
            consumers_[static_cast<size_t>(probe_src)] == 1 &&
+           !pending_.at(probe_src).closed() &&
            spec.est_build_rows > 0 &&
            spec.est_build_rows <= max_build_rows_ &&
            spec.est_build_rows <= std::max<size_t>(1, spec.est_probe_rows) &&
@@ -347,16 +391,7 @@ Result<PhysicalPlan> Fuser::Run() {
       stage.predicates = pipe->predicates();
       stage.projections = pipe->projections();
       const int in = pipe->input();
-      auto pit = pending_.find(in);
-      if (pit != pending_.end() && consumers_[static_cast<size_t>(in)] == 1 &&
-          ChainFitsDmem(pit->second, &stage)) {
-        Desc desc = std::move(pit->second);
-        pending_.erase(pit);
-        desc.stages.push_back(std::move(stage));
-        desc.tile_rows = std::min(desc.tile_rows, pipe->tile_rows());
-        ++desc.fused_steps;
-        pending_.emplace(static_cast<int>(id), std::move(desc));
-      } else {
+      if (!Absorb(static_cast<int>(id), in, stage, pipe->tile_rows())) {
         Desc desc;
         desc.input = in;
         desc.tile_rows = pipe->tile_rows();
@@ -365,6 +400,24 @@ Result<PhysicalPlan> Fuser::Run() {
         pending_.emplace(static_cast<int>(id), std::move(desc));
       }
       continue;
+    }
+
+    // Figure 4c: a low-NDV group-by becomes the terminal stage of the
+    // chain producing its input, so tiles never leave DMEM and only
+    // the merged aggregate is written out. Otherwise (high NDV, a
+    // shared or already materialized input, no DMEM fit) it stays a
+    // breaker below.
+    if (auto* group_by = dynamic_cast<GroupByStep*>(step);
+        group_by != nullptr && group_by->low_ndv()) {
+      PipelineStageSpec stage;
+      stage.kind = PipelineStageSpec::Kind::kAggregate;
+      stage.group_keys = group_by->keys();
+      stage.aggs = group_by->aggs();
+      stage.est_groups = group_by->est_groups();
+      if (Absorb(static_cast<int>(id), group_by->input(), std::move(stage),
+                 group_by->tile_rows())) {
+        continue;
+      }
     }
 
     if (dynamic_cast<PartitionStep*>(step) != nullptr) {
@@ -379,8 +432,9 @@ Result<PhysicalPlan> Fuser::Run() {
       continue;
     }
 
-    // Pipeline breaker (group-by, sort, top-k, set op, window, ...):
-    // materialize its inputs and re-emit it unchanged.
+    // Pipeline breaker (high-NDV or unfusable group-by, sort, top-k,
+    // set op, window, ...): materialize its inputs and re-emit it
+    // unchanged.
     for (int in : step->Inputs()) {
       RAPID_RETURN_NOT_OK(Materialize(in).status());
     }

@@ -2,14 +2,21 @@
 //
 // Rewrites a lowered PhysicalPlan, grouping maximal runs of
 // pipeline-safe steps — scan, filter, project and small-build
-// hash-join probes — into fused PipelineSteps that execute as a single
-// ParallelFor round with the whole operator chain DMEM-resident.
-// Pipeline breakers (join build, partition, group-by, sort, set ops,
-// windows) remain barriers.
+// hash-join probes, optionally closed by a low-NDV group-by — into
+// fused PipelineSteps that execute as a single ParallelFor round with
+// the whole operator chain DMEM-resident. Pipeline breakers (join
+// build, partition, high-NDV group-by, sort, set ops, windows) remain
+// barriers.
 //
 // Fusion rules:
 //   * Scan -> Pipe chains fuse when every intermediate step has exactly
 //     one consumer (its output is never re-read).
+//   * A low-NDV group-by whose input is such a chain (scan, pipe or
+//     broadcast probe, one consumer) becomes its terminal aggregate
+//     stage — task formation (c) of Figure 4. No stage follows an
+//     aggregate; high-NDV group-bys and inputs that are already
+//     materialized (partitioned join outputs, shared intermediates)
+//     keep the group-by a separate step.
 //   * A partitioned join collapses into a broadcast probe stage when
 //     the estimated build side is small (<= max_build_rows and no
 //     larger than the probe side): both PartitionSteps and the

@@ -606,10 +606,10 @@ Result<Planner::Lowered> Planner::LowerImpl(const LogicalNode& node,
                                                       1, row_bytes);
       }
       const int id = NextId(*plan);
-      AddStep(plan, std::make_unique<GroupByStep>(id, input_step, low_ndv,
-                                                  node.group_keys,
-                                                  node.aggregates, 1024,
-                                                  max_rows));
+      AddStep(plan, std::make_unique<GroupByStep>(
+                        id, input_step, low_ndv, node.group_keys,
+                        node.aggregates, 1024, max_rows,
+                        static_cast<size_t>(std::min(est_groups, 1e12))));
       Lowered out;
       out.step = id;
       out.est_rows = est_groups;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
 #include "common/trace.h"
@@ -94,6 +95,74 @@ std::vector<double> RangeWeights(const std::vector<RowRange>& ranges) {
     weights.push_back(static_cast<double>(r.end - r.begin));
   }
   return weights;
+}
+
+// Output schema of a group-by over columns `input`: the keys (a plain
+// column key keeps its source's type and dictionary), then the
+// aggregates.
+std::vector<ColumnMeta> GroupByMetas(
+    const std::vector<ColumnMeta>& input,
+    const std::vector<std::pair<std::string, ExprPtr>>& keys,
+    const std::vector<AggSpec>& aggs) {
+  std::vector<ColumnMeta> metas;
+  metas.reserve(keys.size() + aggs.size());
+  for (const auto& [name, expr] : keys) {
+    ColumnMeta m;
+    m.name = name;
+    if (expr->kind == Expr::Kind::kColumn) {
+      for (const ColumnMeta& in : input) {
+        if (in.name != expr->column) continue;
+        m.type = in.type;
+        m.dict = in.dict;
+        break;
+      }
+    }
+    metas.push_back(m);
+  }
+  for (const AggSpec& a : aggs) {
+    ColumnMeta m;
+    m.name = a.name;
+    metas.push_back(m);
+  }
+  return metas;
+}
+
+// Low-NDV strategy (Section 5.4): the aggregation operator for input
+// tiles laid out as `binding`. One serves every morsel a core runs;
+// TakePartial() splits its output per morsel.
+std::unique_ptr<GroupByOp> MakeAggregate(
+    const std::vector<std::pair<std::string, ExprPtr>>& keys,
+    const std::vector<AggSpec>& aggs, ColumnBinding binding) {
+  std::vector<ExprPtr> key_exprs;
+  key_exprs.reserve(keys.size());
+  for (const auto& [name, expr] : keys) key_exprs.push_back(expr);
+  return std::make_unique<GroupByOp>(std::move(key_exprs), aggs,
+                                     std::move(binding));
+}
+
+// The low-NDV merge operator: folds the per-morsel partials in morsel
+// order. A group's slot is fixed by the earliest morsel holding it, so
+// the result keeps global first-appearance group order whatever the
+// morsel split or the core assignment. Every partial after the first
+// that saw rows is charged per group to core 0; partials that saw no
+// rows cost nothing. Counts the aggregated rows and emits keys then
+// aggregates into `out`.
+Status EmitMergedPartials(
+    ExecEnv& env, const std::vector<PartialAggregate>& partials,
+    const std::vector<std::pair<std::string, ExprPtr>>& keys,
+    const std::vector<AggSpec>& aggs, ColumnSet* out) {
+  std::unique_ptr<GroupByOp> merged = MakeAggregate(keys, aggs, {});
+  for (const PartialAggregate& partial : partials) {
+    if (partial.rows == 0) continue;
+    if (merged->rows() > 0) {
+      env.dpu->core(0).cycles().ChargeCompute(
+          env.dpu->params().groupby_cycles_per_row *
+          static_cast<double>(partial.num_groups));
+    }
+    merged->MergeFrom(partial);
+  }
+  env.counters.agg_rows += merged->rows();
+  return merged->EmitInto(out);
 }
 
 // Builds the pushed-down Bloom filter from the build step's
@@ -278,16 +347,7 @@ Status ScanStep::Execute(ExecEnv& env) const {
 
   StepOutput& out = env.outputs[static_cast<size_t>(id_)];
   out.partitioned = false;
-  out.set = ColumnSet(metas);
-  for (size_t m = 0; m < per_morsel.size(); ++m) {
-    // Propagate observed types/scales to the merged output.
-    for (size_t col = 0; col < metas.size(); ++col) {
-      if (per_morsel[m].num_rows() > 0) {
-        out.set.meta(col) = per_morsel[m].meta(col);
-      }
-    }
-  }
-  for (ColumnSet& cs : per_morsel) out.set.Append(cs);
+  out.set = ColumnSet::Concat(std::move(metas), std::move(per_morsel));
   return Status::OK();
 }
 
@@ -381,13 +441,7 @@ Status PipeStep::Execute(ExecEnv& env) const {
 
   StepOutput& out = env.outputs[static_cast<size_t>(id_)];
   out.partitioned = false;
-  out.set = ColumnSet(metas);
-  for (const ColumnSet& cs : per_morsel) {
-    for (size_t col = 0; col < metas.size(); ++col) {
-      if (cs.num_rows() > 0) out.set.meta(col) = cs.meta(col);
-    }
-  }
-  for (ColumnSet& cs : per_morsel) out.set.Append(cs);
+  out.set = ColumnSet::Concat(std::move(metas), std::move(per_morsel));
   return Status::OK();
 }
 
@@ -673,6 +727,10 @@ Status PipelineStep::Execute(ExecEnv& env) const {
       }
       chain_row_bytes += 8 * (rs.pass_through.size() +
                               stage.projections.size()) + 8;
+    } else if (stage.kind == PipelineStageSpec::Kind::kAggregate) {
+      metas = GroupByMetas(metas, stage.group_keys, stage.aggs);
+      chain_row_bytes +=
+          8 * (stage.group_keys.size() + stage.aggs.size());
     } else {
       ++num_probe_stages;
       const StepOutput& bout =
@@ -759,7 +817,13 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     weights = RangeWeights(ranges);
   }
   const size_t num_morsels = table_source ? all_chunks.size() : ranges.size();
-  std::vector<ColumnSet> per_morsel(num_morsels, ColumnSet(metas));
+  // Morsel output slots: materialized tiles, or — when the chain ends
+  // in an aggregate — one partial aggregate per morsel.
+  const PipelineStageSpec& last = stages_.back();
+  const bool aggregate = last.kind == PipelineStageSpec::Kind::kAggregate;
+  std::vector<ColumnSet> per_morsel(aggregate ? 0 : num_morsels,
+                                    ColumnSet(metas));
+  std::vector<PartialAggregate> partials(aggregate ? num_morsels : 0);
 
   // Mid-pipeline resume: a failed earlier attempt left completed
   // morsel slots (the per-morsel high-water mark) in the checkpoint.
@@ -773,23 +837,24 @@ Status PipelineStep::Execute(ExecEnv& env) const {
                          : nullptr;
   std::vector<uint8_t> morsel_done(num_morsels, 0);
   if (sp != nullptr && sp->has_morsels &&
-      sp->per_morsel.size() == num_morsels &&
+      (aggregate ? sp->partials.size() : sp->per_morsel.size()) ==
+          num_morsels &&
       sp->morsel_done.size() == num_morsels) {
     size_t resumed = 0;
     for (size_t m = 0; m < num_morsels; ++m) {
       if (sp->morsel_done[m] == 0) continue;
-      per_morsel[m] = std::move(sp->per_morsel[m]);
+      if (aggregate) {
+        partials[m] = std::move(sp->partials[m]);
+      } else {
+        per_morsel[m] = std::move(sp->per_morsel[m]);
+      }
       morsel_done[m] = 1;
       weights[m] = 0;  // nothing left to schedule for this morsel
       ++resumed;
     }
     env.query_counters.resumed_morsels += resumed;
   }
-  if (sp != nullptr) {
-    sp->per_morsel.clear();
-    sp->morsel_done.clear();
-    sp->has_morsels = false;
-  }
+  if (sp != nullptr) sp->clear();
 
   // A core's fused chain (with its resident broadcast hash tables) is
   // built lazily on the first morsel the core pulls and reused for the
@@ -819,7 +884,11 @@ Status PipelineStep::Execute(ExecEnv& env) const {
           core.dmem().Reset();
           for (size_t s = 0; s < resolved.size(); ++s) {
             const ResolvedStage& rs = resolved[s];
-            if (rs.spec->kind == PipelineStageSpec::Kind::kFilterProject) {
+            if (rs.spec->kind == PipelineStageSpec::Kind::kAggregate) {
+              chain.ops.push_back(MakeAggregate(
+                  rs.spec->group_keys, rs.spec->aggs, rs.in_binding));
+            } else if (rs.spec->kind ==
+                       PipelineStageSpec::Kind::kFilterProject) {
               auto filter = std::make_unique<FilterOp>(
                   s == 0 ? stage0_predicates : rs.spec->predicates,
                   rs.pass_through, rs.in_binding, tile_rows,
@@ -848,9 +917,12 @@ Status PipelineStep::Execute(ExecEnv& env) const {
         RAPID_RETURN_NOT_OK(chain.open_status);
         core.dmem().TruncateTo(chain.dmem_mark);
 
-        MaterializeSink sink(&per_morsel[m]);
-        chain.ops.back()->set_downstream(&sink);
-        Status st = sink.Open(ctx);
+        std::optional<MaterializeSink> sink;
+        Status st = Status::OK();
+        if (!aggregate) {
+          chain.ops.back()->set_downstream(&sink.emplace(&per_morsel[m]));
+          st = sink->Open(ctx);
+        }
         if (st.ok()) {
           if (table_source) {
             const std::vector<const storage::Chunk*> mine{all_chunks[m]};
@@ -864,9 +936,17 @@ Status PipelineStep::Execute(ExecEnv& env) const {
                                                  chain.ops.front().get());
           }
         }
+        if (aggregate) {
+          // Taken even after a failure, so the core's next morsel
+          // starts from an empty table.
+          PartialAggregate partial =
+              static_cast<GroupByOp&>(*chain.ops.back()).TakePartial();
+          if (st.ok()) partials[m] = std::move(partial);
+        }
         // High-water mark: the slot holds this morsel's complete
-        // output. Distinct workers write distinct bytes, so the bitmap
-        // needs no synchronization beyond the phase barrier.
+        // output (or partial aggregate). Distinct workers write
+        // distinct bytes, so the bitmap needs no synchronization
+        // beyond the phase barrier.
         if (st.ok()) morsel_done[m] = 1;
         return st;
       });
@@ -878,6 +958,7 @@ Status PipelineStep::Execute(ExecEnv& env) const {
     // are never marked done. Cancellation checkpoints nothing.
     if (sp != nullptr && !loop_status.IsCancellation()) {
       sp->per_morsel = std::move(per_morsel);
+      sp->partials = std::move(partials);
       sp->morsel_done = std::move(morsel_done);
       sp->has_morsels = true;
     }
@@ -917,13 +998,12 @@ Status PipelineStep::Execute(ExecEnv& env) const {
 
   StepOutput& out = env.outputs[static_cast<size_t>(id_)];
   out.partitioned = false;
-  out.set = ColumnSet(metas);
-  for (const ColumnSet& cs : per_morsel) {
-    for (size_t col = 0; col < metas.size(); ++col) {
-      if (cs.num_rows() > 0) out.set.meta(col) = cs.meta(col);
-    }
+  if (aggregate) {
+    out.set = ColumnSet(std::move(metas));
+    return EmitMergedPartials(env, partials, last.group_keys, last.aggs,
+                              &out.set);
   }
-  for (ColumnSet& cs : per_morsel) out.set.Append(cs);
+  out.set = ColumnSet::Concat(std::move(metas), std::move(per_morsel));
   return Status::OK();
 }
 
@@ -943,6 +1023,9 @@ std::string PipelineStep::Describe() const {
         os << " joinfilter=#" << s.join_filter.build_step << "("
            << s.join_filter.probe_column << ")";
       }
+    } else if (s.kind == PipelineStageSpec::Kind::kAggregate) {
+      os << " | groupby low-ndv keys=" << s.group_keys.size()
+         << " aggs=" << s.aggs.size();
     } else {
       os << " | probe build=#" << s.build_input << " keys=(";
       for (size_t i = 0; i < s.build_keys.size(); ++i) {
@@ -979,20 +1062,12 @@ Status GroupByStep::ExecuteLowNdv(ExecEnv& env, const ColumnSet& input,
     binding[input.meta(c).name] = c;
     col_indices.push_back(c);
   }
-  std::vector<ExprPtr> key_exprs;
-  for (const auto& [name, expr] : keys_) key_exprs.push_back(expr);
 
   const int num_cores = env.dpu->num_cores();
-  const size_t n = input.num_rows();
-  const std::vector<RowRange> ranges = RowMorsels(n, num_cores);
-  // One partial aggregate per morsel. Folding them in morsel order
-  // reproduces global first-appearance group order: a group's slot is
-  // fixed by the earliest range containing it, independent of range
-  // boundaries or which core aggregated which range.
-  std::vector<std::unique_ptr<GroupByOp>> ops(ranges.size());
-  for (auto& op : ops) {
-    op = std::make_unique<GroupByOp>(key_exprs, aggs_, binding);
-  }
+  const std::vector<RowRange> ranges = RowMorsels(input.num_rows(), num_cores);
+  std::vector<std::unique_ptr<GroupByOp>> ops(static_cast<size_t>(num_cores));
+  for (auto& op : ops) op = MakeAggregate(keys_, aggs_, binding);
+  std::vector<PartialAggregate> partials(ranges.size());
   const size_t bytes_per_row =
       8 * (2 * col_indices.size() + keys_.size() + aggs_.size());
   const size_t tile_rows = FitTileRows(
@@ -1009,26 +1084,18 @@ Status GroupByStep::ExecuteLowNdv(ExecEnv& env, const ColumnSet& input,
         core.dmem().Reset();
         ExecCtx ctx{&core, &env.dpu->dms(), &env.dpu->params(),
                     env.vectorized, env.cancel};
-        Status st = ops[m]->Open(ctx);
+        GroupByOp& op = *ops[static_cast<size_t>(core.id())];
+        Status st = op.Open(ctx);
         if (st.ok() && range.begin < range.end) {
           st = RelationAccessor::PushColumnSet(ctx, input, col_indices,
                                                range.begin, range.end,
-                                               tile_rows, ops[m].get());
+                                               tile_rows, &op);
         }
+        partials[m] = op.TakePartial();
         core.dmem().Reset();
         return st;
       }));
-
-  // Merge operator: fold per-morsel tables (aggregated data, low
-  // overhead) in morsel order, charged to core 0.
-  const std::vector<AggFunc> funcs = ops[0]->funcs();
-  for (size_t m = 1; m < ops.size(); ++m) {
-    ops[0]->table().MergeFrom(ops[m]->table(), funcs);
-    env.dpu->core(0).cycles().ChargeCompute(
-        env.dpu->params().groupby_cycles_per_row *
-        static_cast<double>(ops[m]->table().num_groups()));
-  }
-  return ops[0]->EmitInto(out);
+  return EmitMergedPartials(env, partials, keys_, aggs_, out);
 }
 
 Status GroupByStep::ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
@@ -1128,50 +1195,19 @@ Status GroupByStep::ExecuteHighNdv(ExecEnv& env, const PartitionedData& input,
         return aggregate(part, &partials[p]);
       }));
   env.counters.groupby_repartitions += repartitions.load();
-  for (ColumnSet& cs : partials) {
-    for (size_t col = 0; col < out->num_columns(); ++col) {
-      if (cs.num_rows() > 0) out->meta(col) = cs.meta(col);
-    }
-    out->Append(cs);
-  }
+  *out = ColumnSet::Concat(out->metas(), std::move(partials));
   return Status::OK();
 }
 
 Status GroupByStep::Execute(ExecEnv& env) const {
   const StepOutput& in = env.outputs[static_cast<size_t>(input_)];
 
-  std::vector<ColumnMeta> metas;
   const ColumnSet& meta_source =
       in.partitioned ? (in.parts.partitions.empty()
                             ? in.set
                             : in.parts.partitions[0])
                      : in.set;
-  for (const auto& [name, expr] : keys_) {
-    ColumnMeta m;
-    m.name = name;
-    if (expr->kind == Expr::Kind::kColumn) {
-      auto idx = meta_source.IndexOf(expr->column);
-      if (idx.ok()) {
-        m.type = meta_source.meta(idx.value()).type;
-        m.dict = meta_source.meta(idx.value()).dict;
-      }
-    }
-    metas.push_back(m);
-  }
-  for (const AggSpec& a : aggs_) {
-    ColumnMeta m;
-    m.name = a.name;
-    metas.push_back(m);
-  }
-  ColumnSet result(metas);
-
-  if (in.partitioned) {
-    for (const ColumnSet& p : in.parts.partitions) {
-      env.counters.agg_rows += p.num_rows();
-    }
-  } else {
-    env.counters.agg_rows += in.set.num_rows();
-  }
+  ColumnSet result(GroupByMetas(meta_source.metas(), keys_, aggs_));
 
   if (low_ndv_) {
     if (in.partitioned) {
@@ -1182,6 +1218,9 @@ Status GroupByStep::Execute(ExecEnv& env) const {
     if (!in.partitioned) {
       return Status::InvalidArgument(
           "high-NDV group-by needs a partitioned input");
+    }
+    for (const ColumnSet& p : in.parts.partitions) {
+      env.counters.agg_rows += p.num_rows();
     }
     RAPID_RETURN_NOT_OK(ExecuteHighNdv(env, in.parts, &result));
   }

@@ -52,14 +52,13 @@ class ColumnSet {
     }
   }
 
-  // Appends all rows of `other` (schemas must match positionally).
-  void Append(const ColumnSet& other) {
-    RAPID_DCHECK(other.num_columns() == num_columns());
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      columns_[c].insert(columns_[c].end(), other.columns_[c].begin(),
-                         other.columns_[c].end());
-    }
-  }
+  // Concatenates `parts` in order into one set with schema `metas`
+  // (positionally matching every part), sizing each column once from
+  // the parts' row counts. Each part is released as soon as it is
+  // copied. A column's metadata comes from the last part that holds
+  // rows: the type and DSB scale its producer observed.
+  static ColumnSet Concat(std::vector<ColumnMeta> metas,
+                          std::vector<ColumnSet> parts);
 
   int64_t Value(size_t row, size_t col) const { return columns_[col][row]; }
 

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "core/engine.h"
+#include "dpu/work_queue.h"
 #include "hostdb/volcano.h"
+#include "storage/encoding_stack.h"
 #include "storage/loader.h"
 #include "tests/test_util.h"
 
@@ -453,6 +456,144 @@ TEST_F(EngineTest, FusedJoinThenGroupBy) {
   auto host_result = hostdb::VolcanoExecutor::Execute(plan, host_catalog_);
   ASSERT_TRUE(host_result.ok());
   ExpectSameRows(result.value().rows, host_result.value());
+}
+
+// Pins one runtime setting for a scope: `Force` installs a value and
+// returns the one it replaced, which the destructor reinstates.
+template <typename T, T (*Force)(T)>
+class ScopedForce {
+ public:
+  explicit ScopedForce(T value) : previous_(Force(value)) {}
+  ~ScopedForce() { Force(previous_); }
+  ScopedForce(const ScopedForce&) = delete;
+  ScopedForce& operator=(const ScopedForce&) = delete;
+
+ private:
+  T previous_;
+};
+
+TEST_F(EngineTest, FusedAggregateMatchesUnfusedAcrossTiersAndSchedulers) {
+  // The aggregate fused into its scan pipeline (Figure 4c) must return
+  // the unfused plan's rows in the same order, with the same column
+  // types and DSB scales, and count the same aggregated rows — under
+  // every SIMD tier, scheduler and encoded-scan mode.
+  {
+    // Same schema as facts, no rows: the scan has zero morsels.
+    std::vector<storage::ColumnSpec> specs = {
+        {"f_id", storage::ColumnKind::kInt64},
+        {"f_dim", storage::ColumnKind::kInt32},
+        {"f_cat", storage::ColumnKind::kString},
+        {"f_price", storage::ColumnKind::kDecimal},
+        {"f_qty", storage::ColumnKind::kInt32},
+        {"f_day", storage::ColumnKind::kDate}};
+    Load("nothing", specs, std::vector<storage::ColumnData>(6));
+    size_t chunks = 0;
+    const storage::Table* t = engine_.GetTable("nothing");
+    for (size_t p = 0; p < t->num_partitions(); ++p) {
+      chunks += t->partition(p).num_chunks();
+    }
+    ASSERT_EQ(chunks, 0u);
+  }
+  // Q1 shape: a computed decimal column projected in the pipeline,
+  // decimal sums, min/max and a count per low-NDV key.
+  auto q1 = [](const std::string& table, std::vector<Predicate> preds) {
+    auto scan = LogicalNode::Scan(table, {"f_cat", "f_price", "f_qty", "f_day"},
+                                  std::move(preds));
+    auto projected = LogicalNode::Project(
+        scan, {{"f_cat", Expr::Col("f_cat")},
+               {"f_price", Expr::Col("f_price")},
+               {"f_qty", Expr::Col("f_qty")},
+               {"f_day", Expr::Col("f_day")},
+               {"disc_price", Expr::Mul(Expr::Col("f_price"),
+                                        Expr::Sub(Expr::Int(1),
+                                                  Expr::Dec(0.05, 2)))}});
+    return LogicalNode::GroupBy(
+        projected, {{"f_cat", Expr::Col("f_cat")}},
+        {{"sum_qty", AggFunc::kSum, Expr::Col("f_qty"), {}},
+         {"sum_price", AggFunc::kSum, Expr::Col("f_price"), {}},
+         {"sum_disc_price", AggFunc::kSum, Expr::Col("disc_price"), {}},
+         {"half_qty", AggFunc::kSum,
+          Expr::Mul(Expr::Col("f_qty"), Expr::Dec(0.5, 1)), {}},
+         {"min_price", AggFunc::kMin, Expr::Col("f_price"), {}},
+         {"max_day", AggFunc::kMax, Expr::Col("f_day"), {}},
+         {"count_order", AggFunc::kCount, nullptr, {}}});
+  };
+  // Q6 shape: one global group.
+  auto q6 = [](std::vector<Predicate> preds) {
+    return LogicalNode::GroupBy(
+        LogicalNode::Scan("facts", {"f_price", "f_qty"}, std::move(preds)),
+        {},
+        {{"revenue", AggFunc::kSum,
+          Expr::Mul(Expr::Col("f_price"), Expr::Col("f_qty")), {}},
+         {"n", AggFunc::kCount, nullptr, {}}});
+  };
+  const std::vector<std::pair<std::string, LogicalPtr>> plans = {
+      {"q1", q1("facts", {Predicate::CmpConst("f_day", CmpOp::kLe, 8900)})},
+      // The filter empties the first chunk (ids 0..1023): scales must
+      // come from the first morsel that saw rows.
+      {"q1_first_chunk_empty",
+       q1("facts", {Predicate::CmpConst("f_id", CmpOp::kGe, 1500)})},
+      {"q6_first_chunk_empty",
+       q6({Predicate::CmpConst("f_id", CmpOp::kGe, 1500)})},
+      {"q1_all_filtered",
+       q1("facts", {Predicate::CmpConst("f_id", CmpOp::kLt, -1)})},
+      {"q1_zero_chunks", q1("nothing", {})},
+  };
+  ExecOptions unfused;
+  unfused.planner.enable_fusion = false;
+
+  using ScopedSimd = ScopedForce<SimdLevel, ForceSimdLevel>;
+  using ScopedSched = ScopedForce<dpu::SchedMode, dpu::ForceSchedMode>;
+  using ScopedEncoded =
+      ScopedForce<storage::EncodedScanMode, storage::ForceEncodedScan>;
+  for (const auto& [name, plan] : plans) {
+    auto host = hostdb::VolcanoExecutor::Execute(plan, host_catalog_);
+    ASSERT_TRUE(host.ok()) << name << ": " << host.status().ToString();
+    for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+      for (dpu::SchedMode sched :
+           {dpu::SchedMode::kStatic, dpu::SchedMode::kMorsel}) {
+        for (storage::EncodedScanMode enc : {storage::EncodedScanMode::kOff,
+                                             storage::EncodedScanMode::kAuto}) {
+          ScopedSimd simd(level);
+          ScopedSched mode(sched);
+          ScopedEncoded encoded(enc);
+          const std::string where = name + " simd=" + SimdLevelName(level) +
+                                    " sched=" + dpu::SchedModeName(sched) +
+                                    " encoded=" +
+                                    (enc == storage::EncodedScanMode::kOff
+                                         ? "off"
+                                         : "auto");
+          auto fused = engine_.Execute(plan);
+          ASSERT_TRUE(fused.ok()) << where << ": " << fused.status().ToString();
+          auto reference = engine_.Execute(plan, unfused);
+          ASSERT_TRUE(reference.ok())
+              << where << ": " << reference.status().ToString();
+          const QueryResult& f = fused.value();
+          const QueryResult& u = reference.value();
+          ASSERT_NE(f.plan_text.find("| groupby low-ndv"), std::string::npos)
+              << where << "\n" << f.plan_text;
+          ASSERT_EQ(f.stats.steps.size(), 1u) << where << "\n" << f.plan_text;
+          ASSERT_NE(u.plan_text.find("GROUPBY"), std::string::npos) << where;
+          EXPECT_EQ(rapid::testing::Rows(f.rows), rapid::testing::Rows(u.rows))
+              << where;
+          ASSERT_EQ(f.rows.num_columns(), u.rows.num_columns()) << where;
+          for (size_t c = 0; c < f.rows.num_columns(); ++c) {
+            EXPECT_EQ(f.rows.meta(c).name, u.rows.meta(c).name) << where;
+            EXPECT_EQ(f.rows.meta(c).type, u.rows.meta(c).type)
+                << where << " column " << f.rows.meta(c).name;
+            EXPECT_EQ(f.rows.meta(c).dsb_scale, u.rows.meta(c).dsb_scale)
+                << where << " column " << f.rows.meta(c).name;
+          }
+          EXPECT_EQ(f.stats.workload.agg_rows, u.stats.workload.agg_rows)
+              << where;
+          EXPECT_EQ(f.stats.workload.scanned_rows,
+                    u.stats.workload.scanned_rows)
+              << where;
+          ExpectSameRows(f.rows, host.value());
+        }
+      }
+    }
+  }
 }
 
 TEST_F(EngineTest, EmptyResultQueries) {

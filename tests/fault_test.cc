@@ -766,6 +766,61 @@ TEST_F(FaultEngineTest, PersistentPipelineFaultFallsBackWithMorselResume) {
   EXPECT_EQ(SortedRows(report.rows), clean_rows);
 }
 
+TEST_F(FaultEngineTest,
+       PersistentAggregatePipelineFaultFallsBackWithMorselResume) {
+  // The same many-chunk probe pipeline closed by a global (one-group,
+  // low-NDV) aggregate: the group-by fuses into the pipeline, so each
+  // morsel's slot holds a partial aggregate, and retries restore the
+  // completed partials instead of re-aggregating their chunks.
+  storage::LoadOptions geometry;
+  geometry.rows_per_chunk = 64;
+  auto [specs, data] = TableData(6400);
+  ASSERT_OK(host_.CreateTable("bigt", specs, data, geometry));
+  ASSERT_OK(host_.LoadToRapid("bigt", &engine_));
+  LogicalPtr plan = LogicalNode::GroupBy(
+      LogicalNode::Join(LogicalNode::Scan("bigt", {"id", "v"}),
+                        LogicalNode::Scan("d", {"k", "w"}), {"v"}, {"k"},
+                        {"id", "w"}),
+      {},
+      {{"sum_id", core::AggFunc::kSum, core::Expr::Col("id"), {}},
+       {"max_w", core::AggFunc::kMax, core::Expr::Col("w"), {}},
+       {"n", core::AggFunc::kCount, nullptr, {}}});
+
+  ExecOptions options;
+  options.retry_budget = 2;
+  ASSERT_TRUE(options.planner.enable_fusion);
+
+  ASSERT_OK_AND_ASSIGN(QueryResult fused, engine_.Execute(plan, options));
+  ASSERT_NE(fused.plan_text.find("| probe build=#"), std::string::npos)
+      << fused.plan_text;
+  ASSERT_NE(fused.plan_text.find("| groupby low-ndv keys=0 aggs=3"),
+            std::string::npos)
+      << fused.plan_text;
+
+  ASSERT_OK_AND_ASSIGN(QueryReport clean,
+                       host_.ExecuteQuery(plan, &engine_, options));
+  ASSERT_FALSE(clean.fell_back);
+  ASSERT_EQ(clean.rows.num_rows(), 1u);
+
+  const uint64_t polls = CleanPollCount(faults::kDmsTransfer, [&] {
+    auto r = host_.ExecuteQuery(plan, &engine_, options);
+    ASSERT_OK(r.status());
+  });
+  ASSERT_GT(polls, 0u);
+
+  ScopedFaultInjection fi(61);
+  FaultInjector::SiteSpec spec;
+  spec.skip_first = polls - 1;
+  fi.Arm(faults::kDmsTransfer, spec);
+
+  ASSERT_OK_AND_ASSIGN(QueryReport report,
+                       host_.ExecuteQuery(plan, &engine_, options));
+  EXPECT_TRUE(report.fell_back);
+  EXPECT_EQ(report.dpu_retries, 2u);
+  EXPECT_GE(report.resumed_morsels, 1u);
+  EXPECT_EQ(Rows(report.rows), Rows(clean.rows));
+}
+
 TEST_F(FaultEngineTest, PoolAcquireFaultGetsInPlaceRetry) {
   ExecOptions options;
   options.planner.enable_fusion = false;

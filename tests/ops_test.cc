@@ -234,7 +234,7 @@ TEST_F(OpsTest, GroupByAggregatesAndMerges) {
   ASSERT_OK(RelationAccessor::PushColumnSet(ctx, input, {0, 1}, 3, 5, 64,
                                             &op2));
   // Merge operator folds op2's table into op1's.
-  op1.table().MergeFrom(op2.table(), op1.funcs());
+  op1.MergeFrom(op2.TakePartial());
 
   std::vector<ColumnMeta> metas;
   for (const char* n : {"g", "sum_v", "min_v", "max_v", "cnt"}) {

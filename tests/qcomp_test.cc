@@ -328,17 +328,25 @@ TEST_F(PlannerTest, PredicatesOrderedMostSelectiveFirst) {
 }
 
 TEST_F(PlannerTest, GroupByStrategyByNdv) {
-  // grp has 4 distinct values -> low NDV (on-the-fly + merge).
+  // grp has 4 distinct values -> low NDV (on-the-fly + merge). Fused,
+  // the aggregate is the scan pipeline's terminal stage (one step);
+  // unfused it is its own GROUPBY step over the materialized scan.
   auto low = LogicalNode::GroupBy(
       LogicalNode::Scan("t", {"grp", "val"}),
       {{"grp", Expr::Col("grp")}},
       {{"s", AggFunc::kSum, Expr::Col("val"), {}}});
   ASSERT_OK_AND_ASSIGN(PhysicalPlan p1, Plan(low));
-  bool found_low = false;
-  for (const auto& s : p1.steps) {
-    if (s->Describe().find("low-ndv") != std::string::npos) found_low = true;
-  }
-  EXPECT_TRUE(found_low);
+  ASSERT_EQ(p1.steps.size(), 1u) << p1.Describe();
+  EXPECT_NE(p1.steps[0]->Describe().find("PIPELINE scan t"),
+            std::string::npos);
+  EXPECT_NE(p1.steps[0]->Describe().find("| groupby low-ndv"),
+            std::string::npos);
+  Planner unfused(dpu::DpuConfig::Default(), dpu::CostParams::Default(),
+                  PlannerOptions{.enable_fusion = false});
+  ASSERT_OK_AND_ASSIGN(PhysicalPlan p0, unfused.Plan(low, catalog_));
+  ASSERT_EQ(p0.steps.size(), 2u) << p0.Describe();
+  EXPECT_NE(p0.steps[1]->Describe().find("GROUPBY #0 low-ndv"),
+            std::string::npos);
 
   // id has 10000 distinct values -> high NDV with a partition step.
   Planner planner(dpu::DpuConfig::Default(), dpu::CostParams::Default(),
@@ -447,22 +455,66 @@ TEST_F(PlannerTest, SkewKnobsDisableFusion) {
 }
 
 TEST_F(PlannerTest, FusionStopsAtPipelineBreakers) {
-  // Sort and group-by are barriers: the chain beneath fuses, the
-  // breaker stays its own step and ids stay consecutive.
+  // A low-NDV group-by closes the chain beneath it (Figure 4c): scan,
+  // filter and aggregate become one pipeline. No stage may follow the
+  // aggregate, so the projection over it starts a new step, and the
+  // sort stays a barrier; ids stay consecutive.
   auto agg = LogicalNode::GroupBy(
       LogicalNode::Filter(LogicalNode::Scan("t", {"grp", "val"}),
                           {Predicate::CmpConst("val", CmpOp::kLt, 50)}),
       {{"grp", Expr::Col("grp")}},
       {{"s", AggFunc::kSum, Expr::Col("val"), {}}});
-  auto sorted = LogicalNode::Sort(agg, {{"grp", true}});
+  auto doubled = LogicalNode::Project(
+      agg, {{"grp", Expr::Col("grp")},
+            {"s2", Expr::Mul(Expr::Col("s"), Expr::Int(2))}});
+  auto sorted = LogicalNode::Sort(doubled, {{"grp", true}});
   ASSERT_OK_AND_ASSIGN(PhysicalPlan plan, Plan(sorted));
   const std::string desc = plan.Describe();
-  EXPECT_NE(desc.find("GROUPBY"), std::string::npos) << desc;
-  EXPECT_NE(desc.find("SORT"), std::string::npos) << desc;
+  ASSERT_EQ(plan.steps.size(), 3u) << desc;
+  EXPECT_NE(plan.steps[0]->Describe().find(
+                "PIPELINE scan t | filter+project preds=1 proj=2 | "
+                "groupby low-ndv keys=1 aggs=1"),
+            std::string::npos)
+      << desc;
+  EXPECT_NE(plan.steps[1]->Describe().find("PIPE #0"), std::string::npos)
+      << desc;
+  EXPECT_NE(plan.steps[2]->Describe().find("SORT #1"), std::string::npos)
+      << desc;
+  EXPECT_EQ(desc.find("GROUPBY"), std::string::npos) << desc;
   for (size_t i = 0; i < plan.steps.size(); ++i) {
     EXPECT_EQ(plan.steps[i]->id(), static_cast<int>(i));
   }
   EXPECT_EQ(plan.root, static_cast<int>(plan.steps.size()) - 1);
+}
+
+TEST_F(PlannerTest, HighNdvGroupByAndSortStayBarriers) {
+  // id has 10000 distinct values: above the threshold the group-by
+  // partitions on its key, so it cannot ride the scan pipeline — the
+  // partition, the group-by and the sort each stay their own step.
+  Planner planner(dpu::DpuConfig::Default(), dpu::CostParams::Default(),
+                  PlannerOptions{.low_ndv_threshold = 1000});
+  auto agg = LogicalNode::GroupBy(
+      LogicalNode::Filter(LogicalNode::Scan("t", {"id", "val"}),
+                          {Predicate::CmpConst("val", CmpOp::kLt, 50)}),
+      {{"id", Expr::Col("id")}},
+      {{"s", AggFunc::kSum, Expr::Col("val"), {}}});
+  auto sorted = LogicalNode::Sort(agg, {{"id", true}});
+  ASSERT_OK_AND_ASSIGN(PhysicalPlan plan, planner.Plan(sorted, catalog_));
+  const std::string desc = plan.Describe();
+  ASSERT_EQ(plan.steps.size(), 4u) << desc;
+  EXPECT_NE(plan.steps[0]->Describe().find("SCAN t preds=1"),
+            std::string::npos)
+      << desc;
+  EXPECT_NE(plan.steps[1]->Describe().find("PARTITION #0"),
+            std::string::npos)
+      << desc;
+  EXPECT_NE(plan.steps[2]->Describe().find("GROUPBY #1 high-ndv"),
+            std::string::npos)
+      << desc;
+  EXPECT_NE(plan.steps[3]->Describe().find("SORT #2"), std::string::npos)
+      << desc;
+  EXPECT_EQ(desc.find("groupby"), std::string::npos) << desc;
+  EXPECT_EQ(plan.root, 3);
 }
 
 }  // namespace
